@@ -1,5 +1,6 @@
 #include "kernels/batch_eval.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/cpu_features.h"
@@ -129,6 +130,73 @@ bool PackEvalBlock(const EvalResult* evals, size_t count,
     }
   }
   return true;
+}
+
+void GroupProjection::Build(const AnnotationId* source, size_t num_source,
+                            const Homomorphism& h) {
+  slot.resize(num_source);
+  first.assign(num_source, 0);
+  groups.clear();
+  for (size_t g = 0; g < num_source; ++g) groups.push_back(h.Map(source[g]));
+  std::sort(groups.begin(), groups.end());
+  groups.erase(std::unique(groups.begin(), groups.end()), groups.end());
+  std::vector<uint8_t> taken(groups.size(), 0);
+  for (size_t g = 0; g < num_source; ++g) {
+    const size_t s = static_cast<size_t>(
+        std::lower_bound(groups.begin(), groups.end(), h.Map(source[g])) -
+        groups.begin());
+    slot[g] = static_cast<uint32_t>(s);
+    first[g] = taken[s] == 0 ? 1 : 0;
+    taken[s] = 1;
+  }
+}
+
+void ProjectBlockEval(AggKind agg, const GroupProjection& proj,
+                      const BlockEval& base, BlockEval* out) {
+  const size_t stride = base.stride;
+  const size_t width = base.width;
+  const size_t num_out = proj.groups.size();
+  out->kind = EvalResult::Kind::kVector;
+  out->width = width;
+  out->stride = stride;
+  out->groups = proj.groups.data();
+  out->num_groups = num_out;
+  out->values.assign(num_out * stride, 0.0);
+  out->counts.assign(num_out * stride, 0.0);
+  out->costs.clear();
+  out->feasible.fill(0);
+  // The same per-coordinate steps as ProjectAggregateEvalResult, with the
+  // lane loop innermost. A slot's first-flag is structural (every source
+  // coordinate marks its slot seen), so it is resolved per source group.
+  for (size_t g = 0; g < proj.slot.size(); ++g) {
+    const double* value = &base.values[g * stride];
+    const double* count = &base.counts[g * stride];
+    double* acc = &out->values[proj.slot[g] * stride];
+    double* acc_count = &out->counts[proj.slot[g] * stride];
+    if (agg == AggKind::kAvg) {
+      // Coordinates carry averages; merge as count-weighted sums.
+      for (size_t l = 0; l < width; ++l) {
+        acc[l] += value[l] * count[l];
+        acc_count[l] += count[l];
+      }
+    } else {
+      // FoldAggregate's contribution is the coordinate value for every
+      // non-AVG kind (COUNT reads it through AggValue::count).
+      const bool first = proj.first[g] != 0;
+      for (size_t l = 0; l < width; ++l) {
+        acc[l] = FoldAggregate(agg, acc[l], AggValue{value[l], value[l]},
+                               first);
+      }
+    }
+  }
+  if (agg != AggKind::kAvg) return;
+  for (size_t s = 0; s < num_out; ++s) {
+    double* acc = &out->values[s * stride];
+    const double* acc_count = &out->counts[s * stride];
+    for (size_t l = 0; l < width; ++l) {
+      acc[l] = acc_count[l] > 0 ? acc[l] / acc_count[l] : 0.0;
+    }
+  }
 }
 
 }  // namespace kernels

@@ -11,6 +11,7 @@
 #include "provenance/annotation.h"
 #include "provenance/eval_result.h"
 #include "provenance/guard.h"
+#include "provenance/homomorphism.h"
 
 namespace prox {
 namespace kernels {
@@ -198,6 +199,35 @@ bool ProgramMatchesLayout(const BatchProgram& p, EvalResult::Kind kind,
 bool PackEvalBlock(const EvalResult* evals, size_t count,
                    EvalResult::Kind kind, const AnnotationId* groups,
                    size_t num_groups, BlockEval* out);
+
+/// \brief The group layout a homomorphism folds a vector layout onto —
+/// the aggregate projection of Example 5.2.1, resolved once per Distance
+/// call when a merge touches group keys.
+struct GroupProjection {
+  std::vector<AnnotationId> groups;  ///< sorted unique images of the source
+  std::vector<uint32_t> slot;        ///< source group g -> index in groups
+  std::vector<uint8_t> first;        ///< g is the lowest source of its slot
+
+  /// Projects the sorted source layout `source[0..num_source)` through h.
+  void Build(const AnnotationId* source, size_t num_source,
+             const Homomorphism& h);
+
+  /// True when every source group maps to kNoAnnotation: the projected
+  /// result is a scalar, which this layout does not represent.
+  bool CollapsesToScalar() const {
+    return groups.size() == 1 && groups[0] == kNoAnnotation;
+  }
+};
+
+/// Folds `base` (a vector BlockEval over the projection's source layout)
+/// onto `proj.groups`, lane by lane bit-identical to
+/// ProjectAggregateEvalResult(agg, lane, h): source groups fold in
+/// ascending order; AVG sums value·count and count, then divides (0.0 on
+/// a zero count); every other kind folds with FoldAggregate and its
+/// first-flag, and the projected count stays 0.0. `out` borrows
+/// `proj.groups`.
+void ProjectBlockEval(AggKind agg, const GroupProjection& proj,
+                      const BlockEval& base, BlockEval* out);
 
 }  // namespace kernels
 }  // namespace prox

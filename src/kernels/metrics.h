@@ -18,15 +18,30 @@ void PublishSimdTier(int tier);
 /// `n` valuations were evaluated through the batch kernels.
 void CountBatchEvals(uint64_t n);
 
+/// Why an oracle left the batch kernels for the per-valuation scalar path:
+/// the `reason` label of `prox_kernel_scalar_fallback_total`.
+enum class FallbackReason : uint8_t {
+  kNoLowering,      ///< candidate or p₀ has no BatchProgram (legacy trees)
+  kNoBatchKind,     ///< the VAL-FUNC has no batch counterpart
+  kLayoutMismatch,  ///< a lowered or packed layout differs from the base's
+  kScalarCollapse,  ///< a group-key projection folds into one scalar
+};
+
+/// The label value: no_lowering, no_batch_kind, layout_mismatch or
+/// scalar_collapse.
+const char* FallbackReasonName(FallbackReason reason);
+
 /// An oracle fell back to the per-valuation scalar path for one Distance
-/// call (layout mismatch, non-batchable expression or VAL-FUNC).
-void CountScalarFallback(uint64_t n = 1);
+/// call, for `reason`.
+void CountScalarFallback(FallbackReason reason, uint64_t n = 1);
 
 /// Current counter values, for tests asserting that the batch path (or
 /// the fallback) actually engaged — identity checks are vacuous if the
-/// code under test silently took the other path.
+/// code under test silently took the other path. The fallback total sums
+/// every reason.
 uint64_t BatchEvalsForTesting();
 uint64_t ScalarFallbacksForTesting();
+uint64_t ScalarFallbacksForTesting(FallbackReason reason);
 
 }  // namespace kernels
 }  // namespace prox

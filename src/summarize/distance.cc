@@ -7,7 +7,6 @@
 #include "ir/adopt.h"
 #include "kernels/metrics.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace prox {
 
@@ -57,6 +56,62 @@ bool IdentityOnGroups(const EvalResult& reference, const MappingState& state) {
     if (state.cumulative().Map(coord.group) != coord.group) return false;
   }
   return true;
+}
+
+/// How one Distance call prices its candidate on the batch kernels, or
+/// why it cannot (`fallback` set).
+struct BatchPlan {
+  std::optional<kernels::FallbackReason> fallback;
+  kernels::ValFuncBatchKind vf_kind = kernels::ValFuncBatchKind::kNone;
+  kernels::BatchProgram program;
+  /// Set when the cumulative homomorphism moves a group key: base blocks
+  /// are folded onto `projection.groups` before pricing, as
+  /// ProjectEvalResult folds each base evaluation on the scalar path.
+  bool project = false;
+  kernels::GroupProjection projection;
+};
+
+/// Lowers `cand` and checks it against the base layout — projected
+/// through the cumulative homomorphism unless it fixes every group key.
+/// `base_ok`/`base_fallback` report whether the oracle's own base side is
+/// batchable.
+BatchPlan PlanBatch(const ProvenanceExpression& cand, const ValFunc& val_func,
+                    const MappingState& state, bool identity_on_groups,
+                    bool base_ok, kernels::FallbackReason base_fallback,
+                    EvalResult::Kind base_kind,
+                    const std::vector<AnnotationId>& base_groups) {
+  BatchPlan plan;
+  plan.vf_kind = val_func.batch_kind();
+  const kernels::BatchEvalFacade* facade = cand.AsBatchEval();
+  if (facade == nullptr) {
+    plan.fallback = kernels::FallbackReason::kNoLowering;
+    return plan;
+  }
+  if (plan.vf_kind == kernels::ValFuncBatchKind::kNone) {
+    plan.fallback = kernels::FallbackReason::kNoBatchKind;
+    return plan;
+  }
+  if (!base_ok) {
+    plan.fallback = base_fallback;
+    return plan;
+  }
+  const std::vector<AnnotationId>* groups = &base_groups;
+  if (!identity_on_groups) {
+    plan.projection.Build(base_groups.data(), base_groups.size(),
+                          state.cumulative());
+    if (plan.projection.CollapsesToScalar()) {
+      plan.fallback = kernels::FallbackReason::kScalarCollapse;
+      return plan;
+    }
+    plan.project = true;
+    groups = &plan.projection.groups;
+  }
+  plan.program = facade->LowerBatch();
+  if (!kernels::ProgramMatchesLayout(plan.program, base_kind, groups->data(),
+                                     groups->size())) {
+    plan.fallback = kernels::FallbackReason::kLayoutMismatch;
+  }
+  return plan;
 }
 
 }  // namespace
@@ -119,69 +174,63 @@ double EnumeratedDistance::Distance(const ProvenanceExpression& cand,
   const DistanceMetrics& metrics = DistanceMetrics::Get();
   metrics.enumerated_calls->Increment();
   if (valuations_.empty()) return 0.0;
-  // On the parallel candidate-scoring path this oracle runs on pool worker
-  // threads; per-call spans would interleave in the ring sink with broken
-  // parent links, so the per-step aggregate span in Summarizer::Run stands
-  // in for them. The serial path records exactly the spans it always did.
-  std::optional<obs::TraceSpan> oracle_span;
-  if (!exec::InParallelWorker()) oracle_span.emplace("distance.oracle");
   const size_t n = registry_->size();
-  // Fast path: when the cumulative homomorphism leaves every group key of
-  // the cached base evaluations untouched (the common case — most merges
-  // group non-key annotations like users), the projection is the identity
-  // and the cached results can be fed to VAL-FUNC directly.
-  const bool identity_on_groups =
-      base_evals_.empty() || IdentityOnGroups(base_evals_[0], state);
+  // When the cumulative homomorphism leaves every group key of the cached
+  // base evaluations untouched (most merges group non-key annotations like
+  // users), the projection is the identity and the cached results are fed
+  // to VAL-FUNC directly.
+  const bool identity_on_groups = IdentityOnGroups(base_evals_[0], state);
   metrics.enumerated_evals->Increment(valuations_.size());
   if (identity_on_groups) {
     metrics.base_eval_reuse->Increment(valuations_.size());
   }
   // Batch path: the candidate lowers once into a flat program and each
   // grain-8 chunk is evaluated in one pass over the program rows by the
-  // SIMD kernels. Chunk boundaries, per-lane arithmetic and the weighted
-  // fold order all replicate the scalar path, so the distance is
-  // bit-identical (docs/KERNELS.md); everything that does not fit —
-  // projection path, exotic VAL-FUNC, layout mismatch — falls back.
-  const kernels::ValFuncBatchKind vf_kind = val_func_->batch_kind();
-  const kernels::BatchEvalFacade* facade = cand.AsBatchEval();
-  if (identity_on_groups && facade != nullptr &&
-      vf_kind != kernels::ValFuncBatchKind::kNone) {
-    EnsureBaseBlocks();
-    if (base_blocks_ok_) {
-      const kernels::BatchProgram program = facade->LowerBatch();
-      if (kernels::ProgramMatchesLayout(program, base_kind_,
-                                        base_groups_.data(),
-                                        base_groups_.size())) {
-        const double penalty = val_func_->batch_mismatch_penalty();
-        const double total = exec::DeterministicChunkSum(
-            pool_.pool(), static_cast<int64_t>(valuations_.size()),
-            kReductionGrain, [&](int64_t lo, int64_t hi) {
-              thread_local kernels::ValuationBlock block;
-              thread_local kernels::BlockEval cand_eval;
-              const size_t w = static_cast<size_t>(hi - lo);
-              block.Reset(n, w);
-              for (size_t l = 0; l < w; ++l) {
-                state.TransformLane(valuations_[static_cast<size_t>(lo) + l],
-                                    l, &block);
-              }
-              kernels::EvaluateBlock(program, block, &cand_eval);
-              double err[kernels::kMaxLanes];
-              kernels::ValFuncBlockErrors(
-                  vf_kind, penalty,
-                  base_blocks_[static_cast<size_t>(lo / kReductionGrain)],
-                  cand_eval, err);
-              double partial = 0.0;
-              for (size_t l = 0; l < w; ++l) {
-                partial +=
-                    valuations_[static_cast<size_t>(lo) + l].weight() * err[l];
-              }
-              return partial;
-            });
-        return (total / total_weight_) / max_error_;
-      }
-    }
+  // SIMD kernels; a merge of group keys folds the packed base block onto
+  // the merged groups first. Chunk boundaries, per-lane arithmetic and the
+  // weighted fold order all replicate the scalar path, so the distance is
+  // bit-identical (docs/KERNELS.md); what does not fit falls back, counted
+  // by reason.
+  EnsureBaseBlocks();
+  const BatchPlan plan =
+      PlanBatch(cand, *val_func_, state, identity_on_groups, base_blocks_ok_,
+                kernels::FallbackReason::kLayoutMismatch, base_kind_,
+                base_groups_);
+  if (!plan.fallback) {
+    const double penalty = val_func_->batch_mismatch_penalty();
+    const double total = exec::DeterministicChunkSum(
+        pool_.pool(), static_cast<int64_t>(valuations_.size()),
+        kReductionGrain, [&](int64_t lo, int64_t hi) {
+          thread_local kernels::ValuationBlock block;
+          thread_local kernels::BlockEval cand_eval;
+          thread_local kernels::BlockEval projected;
+          const size_t w = static_cast<size_t>(hi - lo);
+          block.Reset(n, w);
+          for (size_t l = 0; l < w; ++l) {
+            state.TransformLane(valuations_[static_cast<size_t>(lo) + l], l,
+                                &block);
+          }
+          kernels::EvaluateBlock(plan.program, block, &cand_eval);
+          const kernels::BlockEval* base =
+              &base_blocks_[static_cast<size_t>(lo / kReductionGrain)];
+          if (plan.project) {
+            kernels::ProjectBlockEval(plan.program.agg, plan.projection,
+                                      *base, &projected);
+            base = &projected;
+          }
+          double err[kernels::kMaxLanes];
+          kernels::ValFuncBlockErrors(plan.vf_kind, penalty, *base, cand_eval,
+                                      err);
+          double partial = 0.0;
+          for (size_t l = 0; l < w; ++l) {
+            partial +=
+                valuations_[static_cast<size_t>(lo) + l].weight() * err[l];
+          }
+          return partial;
+        });
+    return (total / total_weight_) / max_error_;
   }
-  kernels::CountScalarFallback();
+  kernels::CountScalarFallback(*plan.fallback);
   const double total = exec::DeterministicSum(
       pool_.pool(), static_cast<int64_t>(valuations_.size()), kReductionGrain,
       [&](int64_t i) {
@@ -239,6 +288,7 @@ SampledDistance::SampledDistance(const ProvenanceExpression* p0,
     base_program_ = base_facade->LowerBatch();
     base_program_ok_ = kernels::ProgramMatchesLayout(
         base_program_, base_kind_, base_groups_.data(), base_groups_.size());
+    base_fallback_ = kernels::FallbackReason::kLayoutMismatch;
   }
 }
 
@@ -247,8 +297,6 @@ double SampledDistance::Distance(const ProvenanceExpression& cand,
   const DistanceMetrics& metrics = DistanceMetrics::Get();
   metrics.sampled_calls->Increment();
   metrics.samples->Increment(num_samples_);
-  std::optional<obs::TraceSpan> oracle_span;
-  if (!exec::InParallelWorker()) oracle_span.emplace("distance.oracle");
   const size_t n = registry_->size();
   // Same identity-on-groups fast path as the enumerated oracle: the group
   // keys of an evaluation are structural (they do not depend on which
@@ -259,53 +307,56 @@ double SampledDistance::Distance(const ProvenanceExpression& cand,
     metrics.base_eval_reuse->Increment(num_samples_);
   }
   // Batch path: both sides of each grain-16 sample chunk are evaluated by
-  // the SIMD kernels — the base through the pre-lowered p₀ program, the
+  // the SIMD kernels — the base through the pre-lowered p₀ program (then
+  // folded onto the merged groups when a merge touches group keys), the
   // candidate through its own lowering. Sample s's Rng stream is
   // regenerated identically, so the drawn valuations — and the resulting
   // estimate — are bit-identical to the scalar path at any tier and any
   // thread count.
-  const kernels::ValFuncBatchKind vf_kind = val_func_->batch_kind();
-  const kernels::BatchEvalFacade* facade = cand.AsBatchEval();
-  if (identity_on_groups && base_program_ok_ && facade != nullptr &&
-      vf_kind != kernels::ValFuncBatchKind::kNone) {
-    const kernels::BatchProgram program = facade->LowerBatch();
-    if (kernels::ProgramMatchesLayout(program, base_kind_,
-                                      base_groups_.data(),
-                                      base_groups_.size())) {
-      const double penalty = val_func_->batch_mismatch_penalty();
-      const double total = exec::DeterministicChunkSum(
-          pool_.pool(), num_samples_, kSampleGrain,
-          [&](int64_t lo, int64_t hi) {
-            thread_local kernels::ValuationBlock base_block;
-            thread_local kernels::ValuationBlock trans_block;
-            thread_local kernels::BlockEval base_eval;
-            thread_local kernels::BlockEval cand_eval;
-            const size_t w = static_cast<size_t>(hi - lo);
-            base_block.Reset(n, w);
-            trans_block.Reset(n, w);
-            for (size_t l = 0; l < w; ++l) {
-              Rng rng(options_.seed, static_cast<uint64_t>(lo) + l);
-              std::vector<AnnotationId> cancelled;
-              for (AnnotationId a : annotations_) {
-                if (rng.Bernoulli(0.5)) cancelled.push_back(a);
-              }
-              Valuation v(std::move(cancelled));
-              base_block.FillLaneSparse(l, v);
-              state.TransformLane(v, l, &trans_block);
+  const BatchPlan plan =
+      PlanBatch(cand, *val_func_, state, identity_on_groups, base_program_ok_,
+                base_fallback_, base_kind_, base_groups_);
+  if (!plan.fallback) {
+    const double penalty = val_func_->batch_mismatch_penalty();
+    const double total = exec::DeterministicChunkSum(
+        pool_.pool(), num_samples_, kSampleGrain,
+        [&](int64_t lo, int64_t hi) {
+          thread_local kernels::ValuationBlock base_block;
+          thread_local kernels::ValuationBlock trans_block;
+          thread_local kernels::BlockEval base_eval;
+          thread_local kernels::BlockEval cand_eval;
+          thread_local kernels::BlockEval projected;
+          const size_t w = static_cast<size_t>(hi - lo);
+          base_block.Reset(n, w);
+          trans_block.Reset(n, w);
+          for (size_t l = 0; l < w; ++l) {
+            Rng rng(options_.seed, static_cast<uint64_t>(lo) + l);
+            std::vector<AnnotationId> cancelled;
+            for (AnnotationId a : annotations_) {
+              if (rng.Bernoulli(0.5)) cancelled.push_back(a);
             }
-            kernels::EvaluateBlock(base_program_, base_block, &base_eval);
-            kernels::EvaluateBlock(program, trans_block, &cand_eval);
-            double err[kernels::kMaxLanes];
-            kernels::ValFuncBlockErrors(vf_kind, penalty, base_eval,
-                                        cand_eval, err);
-            double partial = 0.0;
-            for (size_t l = 0; l < w; ++l) partial += err[l];
-            return partial;
-          });
-      return (total / num_samples_) / max_error_;
-    }
+            Valuation v(std::move(cancelled));
+            base_block.FillLaneSparse(l, v);
+            state.TransformLane(v, l, &trans_block);
+          }
+          kernels::EvaluateBlock(base_program_, base_block, &base_eval);
+          kernels::EvaluateBlock(plan.program, trans_block, &cand_eval);
+          const kernels::BlockEval* base = &base_eval;
+          if (plan.project) {
+            kernels::ProjectBlockEval(plan.program.agg, plan.projection,
+                                      base_eval, &projected);
+            base = &projected;
+          }
+          double err[kernels::kMaxLanes];
+          kernels::ValFuncBlockErrors(plan.vf_kind, penalty, *base, cand_eval,
+                                      err);
+          double partial = 0.0;
+          for (size_t l = 0; l < w; ++l) partial += err[l];
+          return partial;
+        });
+    return (total / num_samples_) / max_error_;
   }
-  kernels::CountScalarFallback();
+  kernels::CountScalarFallback(*plan.fallback);
   // Stream s of the seed drives sample s alone, so the estimate depends
   // only on (seed, num_samples) — not on thread count or sample order.
   const double total = exec::DeterministicSum(

@@ -10,6 +10,7 @@
 #include "exec/thread_pool.h"
 #include "ir/term_pool.h"
 #include "kernels/batch_eval.h"
+#include "kernels/metrics.h"
 #include "provenance/expression.h"
 #include "summarize/mapping_state.h"
 #include "summarize/val_func.h"
@@ -91,7 +92,8 @@ class EnumeratedDistance : public DistanceOracle {
   // Batch-kernel state (makes the oracle non-copyable; it is always used
   // in place). base_groups_ is the shared coordinate layout of every
   // base evaluation — candidates on the identity-on-groups path must
-  // produce exactly this layout, which ProgramMatchesLayout checks.
+  // produce exactly this layout, and candidates of a group-key merge its
+  // projection, which ProgramMatchesLayout checks.
   std::once_flag base_blocks_once_;
   bool base_blocks_ok_ = false;
   EvalResult::Kind base_kind_ = EvalResult::Kind::kScalar;
@@ -152,6 +154,9 @@ class SampledDistance : public DistanceOracle {
   std::unique_ptr<ProvenanceExpression> p0_ir_;
   kernels::BatchProgram base_program_;
   bool base_program_ok_ = false;
+  /// Why a candidate falls back when !base_program_ok_.
+  kernels::FallbackReason base_fallback_ =
+      kernels::FallbackReason::kNoLowering;
   EvalResult::Kind base_kind_ = EvalResult::Kind::kScalar;
   std::vector<AnnotationId> base_groups_;
 };

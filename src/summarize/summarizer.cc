@@ -333,9 +333,8 @@ Result<SummaryOutcome> Summarizer::Run() {
     // mutable state (tentative MappingState, step Homomorphism, the
     // candidate expression) is built inside the loop body, and results land
     // in the pre-sized `scored` vector by index, so PickBest sees exactly
-    // the ordering and tie-breaks of the serial loop. On the parallel path
-    // this aggregate span stands in for the suppressed per-candidate
-    // distance.oracle spans (see distance.cc).
+    // the ordering and tie-breaks of the serial loop. This aggregate span
+    // is the finest pricing span: the oracles record none per call.
     obs::TraceSpan eval_span("summarize.candidate_eval");
     std::vector<ScoredCandidate> scored(candidates.size());
     std::atomic<int> step_incremental_hits{0};

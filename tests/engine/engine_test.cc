@@ -14,6 +14,7 @@
 #include "common/json.h"
 #include "datasets/movielens.h"
 #include "engine/codec.h"
+#include "kernels/metrics.h"
 
 namespace prox {
 namespace engine {
@@ -52,6 +53,30 @@ TEST(EngineTest, SummarizeMissThenHitIsByteIdentical) {
   JsonValue doc = MustParse(cold.body);
   EXPECT_NE(doc.Find("final_size"), nullptr);
   EXPECT_NE(doc.Find("groups"), nullptr);
+}
+
+TEST(EngineTest, ServedColdSummariesStayOnTheBatchKernels) {
+  // The served dataset shape: cold summaries merge movies (group keys)
+  // as well as users, and every candidate must still be priced by the
+  // batch kernels — no Distance call may take the scalar fallback.
+  MovieLensConfig config;
+  config.num_users = 40;
+  config.num_movies = 8;
+  config.seed = 7;
+  std::unique_ptr<Engine> engine =
+      Engine::FromDataset(MovieLensGenerator::Generate(config));
+  for (const char* body :
+       {"{\"max_steps\":10,\"valuation_class\":\"cancel_single_attribute\"}",
+        "{\"max_steps\":12}"}) {
+    SCOPED_TRACE(body);
+    const uint64_t fallbacks_before = kernels::ScalarFallbacksForTesting();
+    const uint64_t batch_before = kernels::BatchEvalsForTesting();
+    Engine::Response cold = engine->HandleSummarize(body);
+    ASSERT_TRUE(cold.ok()) << cold.status.ToString();
+    EXPECT_EQ(cold.cache, Engine::Response::CacheOutcome::kMiss);
+    EXPECT_GT(kernels::BatchEvalsForTesting(), batch_before);
+    EXPECT_EQ(kernels::ScalarFallbacksForTesting(), fallbacks_before);
+  }
 }
 
 TEST(EngineTest, TypedErrorsRenderTheCanonicalDocument) {

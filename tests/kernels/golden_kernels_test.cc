@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "ir/term_pool.h"
 #include "kernels/metrics.h"
 #include "engine/codec.h"
+#include "obs/metrics.h"
 #include "summarize/distance.h"
 #include "summarize/summarizer.h"
 
@@ -139,11 +142,66 @@ TEST(GoldenKernelsTest, BatchPathActuallyEngages) {
   const uint64_t batch_after = kernels::BatchEvalsForTesting();
   EXPECT_GT(batch_after, batch_before);
 
-  const uint64_t fallback_before = kernels::ScalarFallbacksForTesting();
+  const uint64_t fallback_before = kernels::ScalarFallbacksForTesting(
+      kernels::FallbackReason::kNoLowering);
   RunFamily<MovieLensGenerator>(config, /*use_ir=*/false, /*threads=*/1);
-  EXPECT_GT(kernels::ScalarFallbacksForTesting(), fallback_before);
+  EXPECT_GT(kernels::ScalarFallbacksForTesting(
+                kernels::FallbackReason::kNoLowering),
+            fallback_before);
   // The legacy run itself must not have gone through the kernels.
   EXPECT_EQ(kernels::BatchEvalsForTesting(), batch_after);
+}
+
+TEST(GoldenKernelsTest, GroupKeyMergesStayOnTheBatchPath) {
+  // Merges of group keys (movies, pages) price against the base blocks
+  // folded onto the merged groups, so IR runs take no fallback for any
+  // reason — the projection-related ones (layout_mismatch,
+  // scalar_collapse) included — while the runs do merge group keys.
+  const kernels::FallbackReason reasons[] = {
+      kernels::FallbackReason::kNoLowering,
+      kernels::FallbackReason::kNoBatchKind,
+      kernels::FallbackReason::kLayoutMismatch,
+      kernels::FallbackReason::kScalarCollapse};
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  obs::Counter* evals =
+      registry.GetCounter("prox_distance_enumerated_evals_total", "");
+  obs::Counter* reuse =
+      registry.GetCounter("prox_distance_base_eval_reuse_total", "");
+  auto expect_no_fallbacks = [&](const std::function<void()>& run) {
+    uint64_t before[std::size(reasons)];
+    for (size_t r = 0; r < std::size(reasons); ++r) {
+      before[r] = kernels::ScalarFallbacksForTesting(reasons[r]);
+    }
+    const uint64_t batch_before = kernels::BatchEvalsForTesting();
+    const uint64_t evals_before = evals->value();
+    const uint64_t reuse_before = reuse->value();
+    run();
+    EXPECT_GT(kernels::BatchEvalsForTesting(), batch_before);
+    // Fewer reused base evaluations than evaluations: some calls priced a
+    // candidate whose merge moved a group key.
+    EXPECT_LT(reuse->value() - reuse_before, evals->value() - evals_before);
+    for (size_t r = 0; r < std::size(reasons); ++r) {
+      EXPECT_EQ(kernels::ScalarFallbacksForTesting(reasons[r]), before[r])
+          << kernels::FallbackReasonName(reasons[r]);
+    }
+  };
+
+  MovieLensConfig movies;
+  movies.num_users = 20;
+  movies.num_movies = 6;
+  movies.ratings_per_user = 3;
+  WikipediaConfig pages;
+  pages.num_users = 10;
+  pages.num_pages = 8;
+  for (int threads : {1, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_no_fallbacks([&] {
+      RunFamily<MovieLensGenerator>(movies, /*use_ir=*/true, threads);
+    });
+    expect_no_fallbacks([&] {
+      RunFamily<WikipediaGenerator>(pages, /*use_ir=*/true, threads);
+    });
+  }
 }
 
 TEST(GoldenKernelsTest, SampledOracleBitIdenticalAcrossTiers) {

@@ -1,8 +1,9 @@
 // prox::kernels units: ValuationBlock layout, BlockEval pack/extract
 // round-trips, batch evaluation vs the scalar Evaluate() oracle at every
-// SIMD tier, batched VAL-FUNC errors vs ValFunc::Compute, and the
-// chunked-reduction-order identity that makes the batch path
-// bit-identical to DeterministicSum at every thread count.
+// SIMD tier, batched VAL-FUNC errors vs ValFunc::Compute, the group-key
+// projection vs ProjectAggregateEvalResult, and the chunked-reduction-order
+// identity that makes the batch path bit-identical to DeterministicSum at
+// every thread count.
 
 #include "kernels/batch_eval.h"
 
@@ -21,6 +22,7 @@
 #include "ir/adopt.h"
 #include "ir/term_pool.h"
 #include "kernels/valuation_block.h"
+#include "provenance/aggregate_expr.h"
 #include "provenance/polynomial_expr.h"
 #include "summarize/val_func.h"
 #include "summarize/valuation_class.h"
@@ -362,6 +364,154 @@ TEST(ValFuncBlockTest, DdpErrorsMatchScalarComputeBitExact) {
       const double expected = ds.val_func->Compute(base_evals.Extract(l),
                                                    cand_evals.Extract(l));
       EXPECT_EQ(err[l], expected) << "lane " << l;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Group-key projection vs ProjectAggregateEvalResult
+
+uint64_t Bits(double d) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+/// Bitwise EvalResult equality: operator== treats -0.0 == 0.0 and never
+/// matches NaN, the fold must reproduce the exact bits.
+void ExpectBitIdentical(const EvalResult& got, const EvalResult& want) {
+  ASSERT_EQ(got.kind(), want.kind());
+  ASSERT_EQ(got.coords().size(), want.coords().size());
+  for (size_t g = 0; g < want.coords().size(); ++g) {
+    SCOPED_TRACE("coord " + std::to_string(g));
+    EXPECT_EQ(got.coords()[g].group, want.coords()[g].group);
+    EXPECT_EQ(Bits(got.coords()[g].value), Bits(want.coords()[g].value));
+    EXPECT_EQ(Bits(got.coords()[g].count), Bits(want.coords()[g].count));
+  }
+}
+
+TEST(GroupProjectionTest, FoldMatchesProjectAggregateEvalResultBitExact) {
+  // Source layout {2, 3, 5, 7}; h merges 3 and 5 into 9 and renames 7 to
+  // 1, so the projected layout {1, 2, 9} reorders the images and slot 9
+  // folds two sources.
+  const AnnotationId source[] = {2, 3, 5, 7};
+  Homomorphism h;
+  h.Set(3, 9);
+  h.Set(5, 9);
+  h.Set(7, 1);
+  kernels::GroupProjection proj;
+  proj.Build(source, 4, h);
+  EXPECT_EQ(proj.groups, (std::vector<AnnotationId>{1, 2, 9}));
+  EXPECT_FALSE(proj.CollapsesToScalar());
+
+  auto vec = [&](double a, double ca, double b, double cb, double c,
+                 double cc, double d, double cd) {
+    return EvalResult::Vector(
+        {{2, a, ca}, {3, b, cb}, {5, c, cc}, {7, d, cd}});
+  };
+  // Lane 1 zeroes the counts of both merged sources (AVG's count-0 arm);
+  // lane 2 carries signed zeros, which MAX/MIN must keep by first-wins.
+  const std::vector<EvalResult> lanes = {
+      vec(3.5, 2.0, 4.25, 3.0, 1.0 / 3.0, 7.0, 2.0, 1.0),
+      vec(1.0, 1.0, 0.0, 0.0, 0.0, 0.0, -2.5, 4.0),
+      vec(-0.0, 1.0, -0.0, 2.0, 0.0, 5.0, 0.1, 0.7),
+      vec(1e300, 3.0, -1e-300, 9.0, 6.5, 0.3, 0.0, 0.0),
+      vec(2.0, 2.0, 5.0, 1.0, 5.0, 1.0, 2.0, 2.0),
+  };
+  const AggKind kinds[] = {AggKind::kSum, AggKind::kCount, AggKind::kAvg,
+                           AggKind::kMax, AggKind::kMin};
+  for (common::SimdTier tier : kAllTiers) {
+    SCOPED_TRACE(TierTrace(tier));
+    TierCap cap(tier);
+    kernels::BlockEval base;
+    ASSERT_TRUE(kernels::PackEvalBlock(lanes.data(), lanes.size(),
+                                       EvalResult::Kind::kVector, source, 4,
+                                       &base));
+    for (AggKind agg : kinds) {
+      SCOPED_TRACE(AggKindToString(agg));
+      kernels::BlockEval projected;
+      kernels::ProjectBlockEval(agg, proj, base, &projected);
+      EXPECT_EQ(projected.width, lanes.size());
+      for (size_t l = 0; l < lanes.size(); ++l) {
+        SCOPED_TRACE("lane " + std::to_string(l));
+        ExpectBitIdentical(projected.Extract(l),
+                           ProjectAggregateEvalResult(agg, lanes[l], h));
+      }
+    }
+  }
+}
+
+TEST(GroupProjectionTest, ScalarCollapseIsReported) {
+  // Every group folding into kNoAnnotation projects to a scalar, which a
+  // vector layout cannot carry; the oracles keep the scalar loop for it.
+  const AnnotationId source[] = {2, 3};
+  Homomorphism h;
+  h.Set(2, kNoAnnotation);
+  h.Set(3, kNoAnnotation);
+  kernels::GroupProjection proj;
+  proj.Build(source, 2, h);
+  EXPECT_TRUE(proj.CollapsesToScalar());
+  const EvalResult base = EvalResult::Vector({{2, 1.0, 1.0}, {3, 2.0, 1.0}});
+  EXPECT_EQ(ProjectAggregateEvalResult(AggKind::kSum, base, h).kind(),
+            EvalResult::Kind::kScalar);
+}
+
+TEST(GroupProjectionTest, ProjectedBaseBlockPricesLikeTheScalarProjection) {
+  // A group-key merge (both movies -> Films): the base block folded onto
+  // the merged groups must price the merged candidate exactly as the
+  // scalar loop does with ProjectEvalResult.
+  MovieFixture fx;
+  AnnotationId films = fx.registry.AddSummary(fx.movie_domain, "Films");
+  Homomorphism h;
+  h.Set(fx.match_point, films);
+  h.Set(fx.blue_jasmine, films);
+  auto pool = std::make_shared<ir::TermPool>();
+  auto base_ir = ir::Adopt(*fx.p0, pool);
+  auto cand_ir = ir::Adopt(*fx.p0->Apply(h), pool);
+  kernels::BatchProgram base_program = base_ir->AsBatchEval()->LowerBatch();
+  kernels::BatchProgram cand_program = cand_ir->AsBatchEval()->LowerBatch();
+
+  kernels::GroupProjection proj;
+  proj.Build(base_program.groups, base_program.num_groups, h);
+  ASSERT_FALSE(kernels::ProgramMatchesLayout(
+      cand_program, base_program.kind, base_program.groups,
+      base_program.num_groups));
+  ASSERT_TRUE(kernels::ProgramMatchesLayout(cand_program,
+                                            EvalResult::Kind::kVector,
+                                            proj.groups.data(),
+                                            proj.groups.size()));
+
+  CancelSingleAnnotation cls;
+  const std::vector<Valuation> valuations = cls.Generate(*fx.p0, fx.ctx);
+  const size_t n = fx.registry.size();
+  const size_t width = std::min(kernels::kMaxLanes, valuations.size());
+  const AbsoluteDifferenceValFunc l1;
+  const EuclideanValFunc l2;
+  for (common::SimdTier tier : kAllTiers) {
+    SCOPED_TRACE(TierTrace(tier));
+    TierCap cap(tier);
+    kernels::ValuationBlock block;
+    block.Reset(n, width);
+    for (size_t l = 0; l < width; ++l) {
+      block.FillLane(l, MaterializedValuation(valuations[l], n));
+    }
+    kernels::BlockEval base_evals, cand_evals, projected;
+    kernels::EvaluateBlock(base_program, block, &base_evals);
+    kernels::EvaluateBlock(cand_program, block, &cand_evals);
+    kernels::ProjectBlockEval(cand_program.agg, proj, base_evals, &projected);
+    for (const ValFunc* vf : {static_cast<const ValFunc*>(&l1),
+                              static_cast<const ValFunc*>(&l2)}) {
+      double err[kernels::kMaxLanes] = {0};
+      kernels::ValFuncBlockErrors(vf->batch_kind(),
+                                  vf->batch_mismatch_penalty(), projected,
+                                  cand_evals, err);
+      for (size_t l = 0; l < width; ++l) {
+        SCOPED_TRACE("lane " + std::to_string(l));
+        const MaterializedValuation v(valuations[l], n);
+        const EvalResult orig = cand_ir->ProjectEvalResult(fx.p0->Evaluate(v), h);
+        ExpectBitIdentical(projected.Extract(l), orig);
+        EXPECT_EQ(Bits(err[l]), Bits(vf->Compute(orig, cand_ir->Evaluate(v))));
+      }
     }
   }
 }
