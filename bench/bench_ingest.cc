@@ -172,7 +172,7 @@ struct ConfigResult {
 ingest::MaintainReport RunWarmOnce(const ConfigSpec& spec, double* ns) {
   ProxSession session(spec.make());
   session.SelectAll();
-  Result<int64_t> primed = session.Summarize(Request());
+  auto primed = session.Summarize(Request());
   Check(primed.ok(), "priming summarize failed");
   ingest::SummaryMaintainer maintainer(&session);
   Result<ingest::DeltaBatch> delta = spec.delta(session.dataset());

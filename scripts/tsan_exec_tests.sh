@@ -9,7 +9,9 @@
 # suite (thread-local valuation blocks + call_once base packing on exec
 # workers, docs/KERNELS.md), and the epoll transport loopback suite
 # (event-loop shards + handler pool + blocking/epoll byte-identity,
-# docs/NET.md) — under TSan.
+# docs/NET.md), and the engine concurrency suite (cheap reads beside a
+# slow cold run, identical cold keys run once, ingest beside closed-loop
+# colds, docs/SERVING.md) — under TSan.
 #
 # Usage: scripts/tsan_exec_tests.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -24,5 +26,5 @@ cmake -B "$build_dir" -S . \
   -DPROX_BUILD_EXAMPLES=OFF
 cmake --build "$build_dir" --target prox_exec_test prox_serve_loopback_test \
   prox_ingest_loopback_test prox_ir_golden_test prox_kernels_golden_test \
-  prox_net_loopback_test -j
+  prox_net_loopback_test prox_engine_concurrency_test -j
 ctest --test-dir "$build_dir" -L tsan --output-on-failure

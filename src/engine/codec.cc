@@ -242,8 +242,8 @@ Result<Assignment> AssignmentFromJson(const JsonValue& value) {
 // Response encoding
 // ---------------------------------------------------------------------------
 
-JsonValue SummaryOutcomeToJson(const SummaryOutcome& outcome,
-                               const AnnotationRegistry& registry) {
+JsonValue SummaryOutcomeToJson(const SummaryOutcome& outcome) {
+  const AnnotationRegistry& registry = outcome.registry();
   JsonValue doc = JsonValue::Object();
   doc.Set("final_size", JsonValue::Int(outcome.final_size));
   doc.Set("final_distance", JsonValue::Double(outcome.final_distance));

@@ -23,10 +23,11 @@ namespace engine {
 /// schemas, docs/EMBEDDING.md the embedding contract).
 ///
 /// Encodings are deterministic: field order is fixed, doubles render via
-/// ShortestDouble, and nondeterministic fields (wall times, raw
-/// AnnotationIds — both vary between reruns on the same registry) are
-/// excluded from SummaryOutcomeToJson so that two runs of the same
-/// request serialize to the same bytes.
+/// ShortestDouble, and wall times are excluded from SummaryOutcomeToJson,
+/// so two runs of the same request serialize to the same bytes. Raw
+/// AnnotationIds are excluded too: a run's summary ids live in its own
+/// overlay registry (provenance/annotation.h), and names are what a
+/// reader can act on.
 
 // --- canonical cache-key fragments ---------------------------------------
 
@@ -80,9 +81,9 @@ Result<Assignment> AssignmentFromJson(const JsonValue& value);
 /// final_size, final_distance, rolled_back, equivalence_merges,
 /// incremental_hits, incremental_fallbacks, steps[] (step, summary,
 /// merged[], distance, size, score, num_candidates), groups[] (name,
-/// members[]), expression. No timings, no ids (see file comment).
-JsonValue SummaryOutcomeToJson(const SummaryOutcome& outcome,
-                               const AnnotationRegistry& registry);
+/// members[]), expression. No timings, no ids (see file comment). Names
+/// resolve through the outcome's own registry (SummaryOutcome::registry).
+JsonValue SummaryOutcomeToJson(const SummaryOutcome& outcome);
 
 /// {"rows": [{"group": "...", "value": ...}], "eval_nanos": ...}.
 JsonValue EvaluationReportToJson(const EvaluationReport& report);

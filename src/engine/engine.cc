@@ -1,5 +1,6 @@
 #include "engine/engine.h"
 
+#include <chrono>
 #include <memory>
 #include <utility>
 
@@ -8,6 +9,7 @@
 #include "datasets/movielens.h"
 #include "datasets/wikipedia.h"
 #include "engine/codec.h"
+#include "engine/engine_metrics.h"
 #include "ingest/delta.h"
 #include "provenance/io.h"
 #include "store/codec.h"
@@ -41,9 +43,14 @@ Engine::Response ErrorResponse(const Status& status) {
   return response;
 }
 
-JsonValue OutcomeDoc(const ProxSession::LockedView& view) {
-  return SummaryOutcomeToJson(*view.outcome(), *view.dataset().registry);
-}
+/// Holds `prox_engine_runs_inflight` up by one for its lifetime.
+class RunScope {
+ public:
+  RunScope() { RunsInflight()->Add(1.0); }
+  ~RunScope() { RunsInflight()->Add(-1.0); }
+  RunScope(const RunScope&) = delete;
+  RunScope& operator=(const RunScope&) = delete;
+};
 
 /// The domain the selection view groups by — the same pick ProxSession's
 /// own SelectionService makes at construction.
@@ -139,12 +146,65 @@ Result<DatasetSpec> DatasetSpecFromJson(const JsonValue& doc) {
 Engine::Engine(Dataset dataset, const Options& options)
     : session_(std::move(dataset)),
       cache_(options.cache),
-      fingerprint_(session_.fingerprint()),
-      selection_key_(SelectAllKey()),
       maintainer_(&session_) {
   // The session starts with the whole provenance selected, so a summarize
   // with no prior select is well-defined (and cacheable under "all").
   session_.SelectAll();
+  Publish(SelectAllKey(), nullptr);
+}
+
+// --- locking and publication -----------------------------------------------
+
+void Engine::FifoMutex::lock() {
+  std::unique_lock<std::mutex> lock(mu_);
+  const uint64_t ticket = next_ticket_++;
+  turn_.wait(lock, [&] { return serving_ == ticket; });
+}
+
+void Engine::FifoMutex::unlock() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++serving_;
+  }
+  turn_.notify_all();
+}
+
+std::unique_lock<Engine::FifoMutex> Engine::LockEngine() const {
+  static obs::Histogram* wait = EngineWait();
+  const auto start = std::chrono::steady_clock::now();
+  std::unique_lock<FifoMutex> lock(mu_);
+  wait->Observe(static_cast<double>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count()));
+  return lock;
+}
+
+std::shared_ptr<const Engine::Published> Engine::published() const {
+  std::lock_guard<std::mutex> lock(publish_mu_);
+  return published_;
+}
+
+void Engine::Publish(std::string selection_key,
+                     std::shared_ptr<const std::string> groups_body) {
+  auto next = std::make_shared<const Published>(
+      Published{session_.fingerprint(), std::move(selection_key),
+                std::move(groups_body)});
+  std::lock_guard<std::mutex> lock(publish_mu_);
+  published_ = std::move(next);
+}
+
+std::shared_ptr<const std::string> Engine::PublishOutcome() {
+  JsonValue outcome_doc = SummaryOutcomeToJson(*session_.outcome());
+  JsonValue groups_doc = JsonValue::Object();
+  const JsonValue* groups = outcome_doc.Find("groups");
+  const JsonValue* expression = outcome_doc.Find("expression");
+  groups_doc.Set("groups", groups != nullptr ? *groups : JsonValue::Array());
+  groups_doc.Set("expression",
+                 expression != nullptr ? *expression : JsonValue::Null());
+  Publish(published()->selection_key,
+          std::make_shared<const std::string>(RenderBody(groups_doc)));
+  return std::make_shared<const std::string>(RenderBody(outcome_doc));
 }
 
 Result<std::unique_ptr<Engine>> Engine::Create(const Options& options) {
@@ -220,20 +280,20 @@ Engine::Response Engine::HandleSelect(const std::string& request_body) {
       SelectionCriteriaFromJson(body.value(), &select_all);
   if (!criteria.ok()) return ErrorResponse(criteria.status());
 
-  std::lock_guard<std::mutex> lock(mu_);
   int64_t selected_size = 0;
+  std::string selection_key;
   if (select_all) {
-    selected_size = session_.SelectAll();
-    selection_key_ = SelectAllKey();
+    selected_size = SelectAll();
+    selection_key = SelectAllKey();
   } else {
-    Result<int64_t> size = session_.Select(criteria.value());
+    Result<int64_t> size = Select(criteria.value());
     if (!size.ok()) return ErrorResponse(size.status());
     selected_size = size.value();
-    selection_key_ = CanonicalSelectionKey(criteria.value());
+    selection_key = CanonicalSelectionKey(criteria.value());
   }
   JsonValue doc = JsonValue::Object();
   doc.Set("selected_size", JsonValue::Int(selected_size));
-  doc.Set("selection_key", JsonValue::Str(selection_key_));
+  doc.Set("selection_key", JsonValue::Str(selection_key));
   return OkResponse(doc);
 }
 
@@ -248,38 +308,41 @@ Engine::Response Engine::HandleSummarize(const std::string& request_body) {
     return ErrorResponse(valid);
   }
 
-  // Fast path: a racy snapshot of the selection key is fine — the cache
-  // key embeds it, so a stale snapshot can only yield a miss or a hit on
-  // the stale selection's (still correct) bytes.
-  std::string key;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    key = SummaryCacheKey(fingerprint_, selection_key_, summarize_request);
-  }
-  if (std::shared_ptr<const std::string> cached = cache_.Get(key)) {
+  auto hit = [](std::shared_ptr<const std::string> cached) {
     Response response;
     response.body = *cached;
     response.cache = Response::CacheOutcome::kHit;
     return response;
-  }
+  };
 
-  // Cold path: compute under the engine mutex so (a) the key matches the
-  // selection the run uses even if a select raced in, and (b) concurrent
-  // identical requests run Algorithm 1 once — the double-check below
-  // turns the rest into hits, which keeps their bodies byte-identical
-  // (reruns on the same registry would mint "#k"-suffixed summary names).
-  std::lock_guard<std::mutex> lock(mu_);
-  key = SummaryCacheKey(fingerprint_, selection_key_, summarize_request);
+  // Fast path: no engine mutex. A snapshot published by a writer racing
+  // this read can only yield a miss, or a hit on the (still correct)
+  // bytes of the version the key names.
+  std::shared_ptr<const Published> current = published();
+  std::string key = SummaryCacheKey(current->fingerprint,
+                                    current->selection_key, summarize_request);
   if (std::shared_ptr<const std::string> cached = cache_.Get(key)) {
-    Response response;
-    response.body = *cached;
-    response.cache = Response::CacheOutcome::kHit;
-    return response;
+    return hit(std::move(cached));
   }
-  Result<int64_t> size = session_.Summarize(summarize_request);
-  if (!size.ok()) return ErrorResponse(size.status());
 
-  auto rendered = std::make_shared<std::string>(RenderOutcomeBody());
+  // Cold path: under the engine mutex the key rebuilt here names exactly
+  // the selection and dataset the run reads, and concurrent identical
+  // requests run Algorithm 1 once — the second lookup turns the rest into
+  // hits on the first run's bytes.
+  std::unique_lock<FifoMutex> lock = LockEngine();
+  current = published();
+  key = SummaryCacheKey(current->fingerprint, current->selection_key,
+                        summarize_request);
+  if (std::shared_ptr<const std::string> cached = cache_.Get(key)) {
+    return hit(std::move(cached));
+  }
+
+  Result<std::shared_ptr<const SummaryOutcome>> outcome = [&] {
+    RunScope run;
+    return session_.Summarize(summarize_request);
+  }();
+  if (!outcome.ok()) return ErrorResponse(outcome.status());
+  std::shared_ptr<const std::string> rendered = PublishOutcome();
   cache_.Put(key, rendered);
 
   Response response;
@@ -316,33 +379,34 @@ Engine::Response Engine::HandleIngest(const std::string& request_body) {
     }
   }
 
-  // Single-flight with summarize: the whole apply (and the optional
-  // re-summarize) runs under the engine mutex, so a concurrent summarize
-  // either keys against the pre-ingest fingerprint (its cached bytes stay
-  // correct for that dataset version) or waits and sees the new one.
-  std::lock_guard<std::mutex> lock(mu_);
+  // The apply and the optional re-summarize hold the engine mutex: a
+  // concurrent cold summarize either keyed against the pre-ingest
+  // fingerprint and finished first (its cached bytes stay correct for that
+  // dataset version) or waits and sees the new one.
+  std::unique_lock<FifoMutex> lock = LockEngine();
   Result<ingest::ApplyReceipt> receipt = maintainer_.Ingest(batch.value());
   if (!receipt.ok()) return ErrorResponse(receipt.status());
   // Chaining the fingerprint retires every cache entry keyed under the
-  // old dataset version without touching the cache itself.
-  fingerprint_ = session_.fingerprint();
-  selection_key_ = SelectAllKey();
+  // old dataset version without touching the cache itself. The groups
+  // view keeps showing the kept outcome, as the session does.
+  Publish(SelectAllKey(), published()->groups_body);
+  const std::string fingerprint = session_.fingerprint();
 
   JsonValue doc = ingest::ApplyReceiptToJson(receipt.value());
-  doc.Set("fingerprint", JsonValue::Str(fingerprint_));
+  doc.Set("fingerprint", JsonValue::Str(fingerprint));
 
   if (resummarize) {
-    Result<ingest::MaintainReport> maintained =
-        maintainer_.Resummarize(summarize_request);
+    Result<ingest::MaintainReport> maintained = [&] {
+      RunScope run;
+      return maintainer_.Resummarize(summarize_request);
+    }();
     if (!maintained.ok()) return ErrorResponse(maintained.status());
     const ingest::MaintainReport& report = maintained.value();
 
     // Publish the fresh summary under the post-ingest key so the next
     // summarize with the same knobs is a hit on these exact bytes.
-    auto rendered = std::make_shared<std::string>(RenderOutcomeBody());
-    cache_.Put(
-        SummaryCacheKey(fingerprint_, selection_key_, summarize_request),
-        rendered);
+    cache_.Put(SummaryCacheKey(fingerprint, SelectAllKey(), summarize_request),
+               PublishOutcome());
 
     JsonValue summary = JsonValue::Object();
     summary.Set("warm", JsonValue::Bool(report.warm));
@@ -358,23 +422,13 @@ Engine::Response Engine::HandleIngest(const std::string& request_body) {
 }
 
 Engine::Response Engine::HandleGroups() {
-  std::lock_guard<std::mutex> lock(mu_);
-  JsonValue outcome_doc;
-  {
-    ProxSession::LockedView view = session_.Lock();
-    if (view.outcome() == nullptr) {
-      return ErrorResponse(
-          Status::FailedPrecondition("no summary computed yet"));
-    }
-    outcome_doc = OutcomeDoc(view);
+  std::shared_ptr<const std::string> groups = published()->groups_body;
+  if (groups == nullptr) {
+    return ErrorResponse(Status::FailedPrecondition("no summary computed yet"));
   }
-  JsonValue doc = JsonValue::Object();
-  const JsonValue* groups = outcome_doc.Find("groups");
-  const JsonValue* expression = outcome_doc.Find("expression");
-  doc.Set("groups", groups != nullptr ? *groups : JsonValue::Array());
-  doc.Set("expression",
-          expression != nullptr ? *expression : JsonValue::Null());
-  return OkResponse(doc);
+  Response response;
+  response.body = *groups;
+  return response;
 }
 
 Engine::Response Engine::HandleEvaluate(const std::string& request_body) {
@@ -403,10 +457,9 @@ Engine::Response Engine::HandleEvaluate(const std::string& request_body) {
   Result<Assignment> assignment = AssignmentFromJson(*assignment_doc);
   if (!assignment.ok()) return ErrorResponse(assignment.status());
 
-  std::lock_guard<std::mutex> lock(mu_);
   Result<EvaluationReport> report =
-      on_summary ? session_.EvaluateOnSummary(assignment.value())
-                 : session_.EvaluateOnSelection(assignment.value());
+      on_summary ? EvaluateOnSummary(assignment.value())
+                 : EvaluateOnSelection(assignment.value());
   if (!report.ok()) return ErrorResponse(report.status());
   return OkResponse(EvaluationReportToJson(report.value()));
 }
@@ -414,143 +467,140 @@ Engine::Response Engine::HandleEvaluate(const std::string& request_body) {
 // --- typed facade ----------------------------------------------------------
 
 std::vector<std::string> Engine::ListTitles() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  ProxSession::LockedView view = session_.Lock();
-  SelectionService service(&view.dataset(), GroupDomainName(view.dataset()));
+  std::unique_lock<FifoMutex> lock = LockEngine();
+  SelectionService service(&session_.dataset(),
+                           GroupDomainName(session_.dataset()));
   return service.ListTitles();
 }
 
 std::vector<std::string> Engine::SearchTitles(
     const std::string& substring) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  ProxSession::LockedView view = session_.Lock();
-  SelectionService service(&view.dataset(), GroupDomainName(view.dataset()));
+  std::unique_lock<FifoMutex> lock = LockEngine();
+  SelectionService service(&session_.dataset(),
+                           GroupDomainName(session_.dataset()));
   return service.SearchTitles(substring);
 }
 
 Result<int64_t> Engine::Select(const SelectionCriteria& criteria) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<FifoMutex> lock = LockEngine();
   PROX_ASSIGN_OR_RETURN(int64_t size, session_.Select(criteria));
-  selection_key_ = CanonicalSelectionKey(criteria);
+  Publish(CanonicalSelectionKey(criteria), nullptr);
   return size;
 }
 
 int64_t Engine::SelectAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  selection_key_ = SelectAllKey();
-  return session_.SelectAll();
+  std::unique_lock<FifoMutex> lock = LockEngine();
+  const int64_t size = session_.SelectAll();
+  Publish(SelectAllKey(), nullptr);
+  return size;
 }
 
 Result<Engine::SummarizeOutcome> Engine::Summarize(
     const SummarizationRequest& request) {
-  std::lock_guard<std::mutex> lock(mu_);
-  PROX_ASSIGN_OR_RETURN(int64_t size, session_.Summarize(request));
+  std::unique_lock<FifoMutex> lock = LockEngine();
+  Result<std::shared_ptr<const SummaryOutcome>> run = [&] {
+    RunScope scope;
+    return session_.Summarize(request);
+  }();
+  if (!run.ok()) return run.status();
   SummarizeOutcome outcome;
-  outcome.final_size = size;
-  {
-    ProxSession::LockedView view = session_.Lock();
-    outcome.final_distance = view.outcome()->final_distance;
-    outcome.body = RenderBody(OutcomeDoc(view));
-  }
+  outcome.final_size = run.value()->final_size;
+  outcome.final_distance = run.value()->final_distance;
+  outcome.body = *PublishOutcome();
   return outcome;
 }
 
 Result<ingest::ApplyReceipt> Engine::IngestDelta(
     const ingest::DeltaBatch& batch) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<FifoMutex> lock = LockEngine();
   PROX_ASSIGN_OR_RETURN(ingest::ApplyReceipt receipt,
                         maintainer_.Ingest(batch));
-  fingerprint_ = session_.fingerprint();
-  selection_key_ = SelectAllKey();
+  Publish(SelectAllKey(), published()->groups_body);
   return receipt;
 }
 
 Result<ingest::MaintainReport> Engine::Resummarize(
     const SummarizationRequest& request) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return maintainer_.Resummarize(request);
+  std::unique_lock<FifoMutex> lock = LockEngine();
+  Result<ingest::MaintainReport> report = [&] {
+    RunScope run;
+    return maintainer_.Resummarize(request);
+  }();
+  if (report.ok()) PublishOutcome();
+  return report;
 }
 
 std::vector<std::string> Engine::DescribeGroups() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<FifoMutex> lock = LockEngine();
   return session_.DescribeGroups();
 }
 
 Result<std::string> Engine::SummaryExpression() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<FifoMutex> lock = LockEngine();
   return session_.SummaryExpression();
 }
 
 Result<Engine::StepSnapshot> Engine::SummaryAtStep(int step) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  ProxSession::LockedView view = session_.Lock();
-  if (view.outcome() == nullptr || view.selection() == nullptr) {
+  std::unique_lock<FifoMutex> lock = LockEngine();
+  std::shared_ptr<const SummaryOutcome> outcome = session_.outcome();
+  std::shared_ptr<const ProvenanceExpression> selection = session_.selection();
+  if (outcome == nullptr || selection == nullptr) {
     return Status::FailedPrecondition("no summary computed yet");
   }
-  PROX_ASSIGN_OR_RETURN(
-      std::unique_ptr<ProvenanceExpression> expression,
-      ExpressionAtStep(*view.selection(), *view.outcome(), step));
+  PROX_ASSIGN_OR_RETURN(std::unique_ptr<ProvenanceExpression> expression,
+                        ExpressionAtStep(*selection, *outcome, step));
   StepSnapshot snapshot;
   snapshot.size = expression->Size();
-  snapshot.expression = expression->ToString(*view.dataset().registry);
+  snapshot.expression = expression->ToString(outcome->registry());
   return snapshot;
 }
 
 Result<std::string> Engine::SerializedSummary() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  ProxSession::LockedView view = session_.Lock();
-  if (view.outcome() == nullptr) {
+  std::unique_lock<FifoMutex> lock = LockEngine();
+  std::shared_ptr<const SummaryOutcome> outcome = session_.outcome();
+  if (outcome == nullptr) {
     return Status::FailedPrecondition("no summary computed yet");
   }
-  return SerializeExpression(*view.outcome()->summary,
-                             *view.dataset().registry);
+  return SerializeExpression(*outcome->summary, outcome->registry());
 }
 
 Result<EvaluationReport> Engine::EvaluateOnSummary(
     const Assignment& assignment) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<FifoMutex> lock = LockEngine();
   return session_.EvaluateOnSummary(assignment);
 }
 
 Result<EvaluationReport> Engine::EvaluateOnSelection(
     const Assignment& assignment) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<FifoMutex> lock = LockEngine();
   return session_.EvaluateOnSelection(assignment);
 }
 
 // --- identity / persistence -------------------------------------------------
 
-std::string Engine::fingerprint() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return fingerprint_;
-}
+std::string Engine::fingerprint() const { return published()->fingerprint; }
 
 int64_t Engine::provenance_size() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<FifoMutex> lock = LockEngine();
   return session_.provenance_size();
 }
 
 uint64_t Engine::next_ingest_sequence() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<FifoMutex> lock = LockEngine();
   return session_.next_ingest_sequence();
 }
 
 Status Engine::PersistSnapshot(const std::string& path) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<FifoMutex> lock = LockEngine();
   store::SaveOptions save_options;
-  save_options.fingerprint = fingerprint_;
+  save_options.fingerprint = session_.fingerprint();
   save_options.cache = &cache_;
-  ProxSession::LockedView view = session_.Lock();
-  if (store::Status s = store::SaveDataset(view.dataset(), save_options, path);
+  if (store::Status s =
+          store::SaveDataset(session_.dataset(), save_options, path);
       !s.ok()) {
     return Status::Internal(s.ToString());
   }
   return Status::OK();
-}
-
-std::string Engine::RenderOutcomeBody() const {
-  ProxSession::LockedView view = session_.Lock();
-  return RenderBody(OutcomeDoc(view));
 }
 
 }  // namespace engine

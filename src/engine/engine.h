@@ -1,6 +1,7 @@
 #ifndef PROX_ENGINE_ENGINE_H_
 #define PROX_ENGINE_ENGINE_H_
 
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -60,10 +61,27 @@ struct DatasetSpec {
 /// HTTP mapping of the typed Status, and `Response::cache` reports the
 /// SummaryCache outcome the transport surfaces as `X-Prox-Cache`.
 ///
-/// Thread-safety: every member function serializes behind the engine
-/// mutex, which also keeps the cache key consistent with the selection
-/// (and dataset contents) a computation actually ran on — the single-
-/// flight discipline the serve router used to implement. Accessors return
+/// **Thread-safety: one engine mutex, and a published snapshot for cheap
+/// reads.** Every call that reaches the session or the maintainer — cold
+/// summarize, evaluate, select, ingest, the summary views and
+/// PersistSnapshot — runs under the engine mutex, one at a time and in
+/// arrival order, so an ingest never starves behind colds. Concurrent
+/// identical cold requests therefore run Algorithm 1 once: the rest wait
+/// on the mutex, look the cache up again and hit the first run's bytes. A
+/// miss makes exactly two SummaryCache lookups (before and after the
+/// mutex), a hit exactly one.
+///
+/// Cheap reads never wait for a run. Whoever holds the engine mutex
+/// publishes one immutable snapshot — the `(fingerprint, selection_key)`
+/// the cache keys on plus the `/v1/summary/groups` body rendered once
+/// from the latest outcome — and a cache hit, `/healthz`, HandleGroups
+/// and fingerprint() only copy its pointer under a second mutex no run
+/// holds. Summarization runs are request-pure (each registers its
+/// annotations in a run-local overlay of the dataset's registry,
+/// provenance/annotation.h), so a run never changes what a cheap read
+/// sees until it publishes. Time spent waiting for the engine mutex is
+/// measured in `prox_engine_wait_nanos`, runs in progress in
+/// `prox_engine_runs_inflight` (docs/OBSERVABILITY.md). Accessors return
 /// snapshot values, never pointers into guarded state.
 class Engine {
  public:
@@ -145,8 +163,8 @@ class Engine {
     std::string body;
   };
   /// Runs Algorithm 1 on the current selection. Always computes (the
-  /// cached path is HandleSummarize's), so the session outcome the other
-  /// views read is never stale.
+  /// cached path is HandleSummarize's) and publishes the outcome, so the
+  /// summary views that follow read this run.
   Result<SummarizeOutcome> Summarize(const SummarizationRequest& request);
 
   /// Streaming ingest through the warm-start maintainer; advances the
@@ -196,20 +214,52 @@ class Engine {
  private:
   Engine(Dataset dataset, const Options& options);
 
-  /// Renders the session's current outcome under the session lock
-  /// (requires outcome != nullptr; callers hold mu_).
-  std::string RenderOutcomeBody() const;
+  /// What cheap reads see; replaced whole, never mutated.
+  struct Published {
+    std::string fingerprint;
+    std::string selection_key;
+    /// The /v1/summary/groups body of the latest outcome; null when there
+    /// is none.
+    std::shared_ptr<const std::string> groups_body;
+  };
 
+  /// A mutex granted in arrival order. A plain std::mutex lets a thread
+  /// that unlocks and relocks at once barge past the waiters, so an
+  /// ingest could wait out any number of back-to-back colds.
+  class FifoMutex {
+   public:
+    void lock();
+    void unlock();
+
+   private:
+    std::mutex mu_;
+    std::condition_variable turn_;
+    uint64_t next_ticket_ = 0;
+    uint64_t serving_ = 0;
+  };
+
+  /// Takes the engine mutex, observing the wait.
+  std::unique_lock<FifoMutex> LockEngine() const;
+
+  std::shared_ptr<const Published> published() const;
+  /// Engine mutex held: publishes the session's fingerprint with
+  /// `selection_key` and `groups_body`.
+  void Publish(std::string selection_key,
+               std::shared_ptr<const std::string> groups_body);
+  /// Engine mutex held: renders the session's latest outcome, publishes
+  /// its groups body under the current selection key and returns its
+  /// summarize body.
+  std::shared_ptr<const std::string> PublishOutcome();
+
+  /// Serializes every use of session_ and maintainer_ (class comment).
+  mutable FifoMutex mu_;
   ProxSession session_;
   SummaryCache cache_;
-
-  /// Guards fingerprint_, selection_key_, maintainer_, and all session_
-  /// calls, keeping the cache key consistent with the selection (and the
-  /// dataset contents) a computation actually ran on.
-  mutable std::mutex mu_;
-  std::string fingerprint_;
-  std::string selection_key_;
   ingest::SummaryMaintainer maintainer_;
+
+  /// Guards published_ only; held to copy or swap the pointer.
+  mutable std::mutex publish_mu_;
+  std::shared_ptr<const Published> published_;
 };
 
 }  // namespace engine

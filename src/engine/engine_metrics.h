@@ -48,6 +48,26 @@ inline obs::Gauge* CacheBytes() {
       "prox_serve_cache_bytes", "Bytes held by the SummaryCache.");
 }
 
+/// `prox_engine_wait_nanos` — how long a request waited for the engine
+/// mutex before its work could start (cold summarize, evaluate, select,
+/// ingest, the typed facade's views, snapshot persist). One observation
+/// per acquisition; cache hits, `/healthz` and groups take no part.
+inline obs::Histogram* EngineWait() {
+  return obs::MetricsRegistry::Default().GetHistogram(
+      "prox_engine_wait_nanos",
+      "Time a request waited for the engine mutex before its work started.",
+      obs::LatencyBucketsNanos());
+}
+
+/// `prox_engine_runs_inflight` — summarization runs in progress across
+/// the process's engines (cold misses, the typed Summarize, re-summaries);
+/// at most one per engine, since runs hold the engine mutex.
+inline obs::Gauge* RunsInflight() {
+  return obs::MetricsRegistry::Default().GetGauge(
+      "prox_engine_runs_inflight",
+      "Summarization runs in progress inside the engine.");
+}
+
 }  // namespace engine
 }  // namespace prox
 

@@ -200,10 +200,12 @@ namespace {
 
 /// Shared state of one RunChunks call. Lives on the caller's stack; the
 /// caller blocks until `remaining` hits zero, so chunk tasks never outlive
-/// it.
+/// it. `remaining` only changes under `mu`: were the last decrement made
+/// outside it, the caller could see zero, return and destroy the job
+/// while that worker was still about to lock `mu` to notify.
 struct ChunkJob {
   const std::function<void(int64_t, int64_t)>* body;
-  std::atomic<int64_t> remaining;
+  int64_t remaining;  // guarded by mu
   std::atomic<bool> cancelled{false};
   std::mutex mu;
   std::condition_variable done_cv;
@@ -222,10 +224,8 @@ struct ChunkJob {
         }
       }
     }
-    if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(mu);
-      done_cv.notify_all();
-    }
+    std::lock_guard<std::mutex> lock(mu);
+    if (--remaining == 0) done_cv.notify_all();
   }
 };
 
@@ -239,7 +239,7 @@ void ThreadPool::RunChunks(int64_t begin, int64_t end, int64_t grain,
 
   ChunkJob job;
   job.body = &chunk_fn;
-  job.remaining.store(num_chunks, std::memory_order_relaxed);
+  job.remaining = num_chunks;
   internal::CountTasks(static_cast<uint64_t>(num_chunks));
 
   for (int64_t c = 0; c < num_chunks; ++c) {
@@ -249,9 +249,7 @@ void ThreadPool::RunChunks(int64_t begin, int64_t end, int64_t grain,
   }
 
   std::unique_lock<std::mutex> lock(job.mu);
-  job.done_cv.wait(lock, [&job] {
-    return job.remaining.load(std::memory_order_acquire) == 0;
-  });
+  job.done_cv.wait(lock, [&job] { return job.remaining == 0; });
   if (job.error) std::rethrow_exception(job.error);
 }
 

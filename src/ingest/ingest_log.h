@@ -22,7 +22,8 @@ namespace ingest {
 /// delta-aware half of the serve-layer cache fingerprint.
 ///
 /// Not internally synchronized — same contract as the Dataset it mutates
-/// (ProxSession serializes access under its own mutex).
+/// (engine::Engine serializes every session call under its engine
+/// mutex).
 class IngestLog {
  public:
   explicit IngestLog(Dataset* dataset) : dataset_(dataset) {}

@@ -16,7 +16,7 @@ Result<ApplyReceipt> SummaryMaintainer::Ingest(const DeltaBatch& batch) {
   // Pin the size the current summary was computed over before the dataset
   // grows: a summary may have been produced directly through the session
   // (e.g. the serve summarize route) without this maintainer seeing it.
-  if (summarized_size_ == 0 && session_->Lock().outcome() != nullptr) {
+  if (summarized_size_ == 0 && session_->outcome() != nullptr) {
     summarized_size_ = session_->provenance_size();
   }
   PROX_ASSIGN_OR_RETURN(ApplyReceipt receipt, session_->Ingest(batch));
@@ -38,12 +38,13 @@ Result<MaintainReport> SummaryMaintainer::Resummarize(
 
   MaintainReport report;
   report.delta_fraction = delta_fraction();
-  const bool have_prior = session_->Lock().outcome() != nullptr;
+  const bool have_prior = session_->outcome() != nullptr;
   report.warm =
       have_prior && report.delta_fraction <= options_.max_delta_fraction;
 
-  Result<int64_t> run = report.warm ? session_->Resummarize(request)
-                                    : session_->Summarize(request);
+  Result<std::shared_ptr<const SummaryOutcome>> run =
+      report.warm ? session_->Resummarize(request)
+                  : session_->Summarize(request);
   if (!run.ok()) return run.status();
   if (!report.warm && have_prior) {
     // A prior summary existed but the delta outgrew the warm threshold:
@@ -52,14 +53,11 @@ Result<MaintainReport> SummaryMaintainer::Resummarize(
     WarmstartFallbacks()->Increment();
   }
 
-  {
-    ProxSession::LockedView view = session_->Lock();
-    const SummaryOutcome* outcome = view.outcome();
-    report.replayed_merges = outcome->warm_replayed_merges;
-    report.continuation_steps = static_cast<int>(outcome->steps.size());
-    report.final_size = outcome->final_size;
-    report.final_distance = outcome->final_distance;
-  }
+  const SummaryOutcome& outcome = *run.value();
+  report.replayed_merges = outcome.warm_replayed_merges;
+  report.continuation_steps = static_cast<int>(outcome.steps.size());
+  report.final_size = outcome.final_size;
+  report.final_distance = outcome.final_distance;
 
   summarized_size_ = session_->provenance_size();
   current_size_ = summarized_size_;

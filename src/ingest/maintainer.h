@@ -37,10 +37,10 @@ struct MaintainReport {
 /// full re-run once the accumulated delta fraction crosses the threshold.
 ///
 /// Not internally synchronized: the maintainer's own bookkeeping
-/// (delta-fraction counters) needs external serialization — the engine
-/// facade serializes calls under its mutex; offline tools are
-/// single-threaded. Session state itself is read through guard-scoped
-/// ProxSession::LockedView, never raw pointers.
+/// (delta-fraction counters) and the session it drives need external
+/// serialization — the engine facade serializes calls under its engine
+/// mutex; offline tools are single-threaded. Session outcomes are read as published
+/// `shared_ptr<const SummaryOutcome>` copies, never raw pointers.
 class SummaryMaintainer {
  public:
   explicit SummaryMaintainer(ProxSession* session,

@@ -3,6 +3,9 @@
 namespace prox {
 
 DomainId AnnotationRegistry::AddDomain(const std::string& name) {
+  // An overlay shares its base's domains; naming a new one through it is
+  // a programming error (Result::value() asserts, or throws).
+  if (base_ != nullptr) return base_->FindDomain(name).value();
   auto it = domain_by_name_.find(name);
   if (it != domain_by_name_.end()) return it->second;
   DomainId id = static_cast<DomainId>(domain_names_.size());
@@ -12,6 +15,7 @@ DomainId AnnotationRegistry::AddDomain(const std::string& name) {
 }
 
 Result<DomainId> AnnotationRegistry::FindDomain(const std::string& name) const {
+  if (base_ != nullptr) return base_->FindDomain(name);
   auto it = domain_by_name_.find(name);
   if (it == domain_by_name_.end()) {
     return Status::NotFound("unknown domain: " + name);
@@ -22,6 +26,10 @@ Result<DomainId> AnnotationRegistry::FindDomain(const std::string& name) const {
 Result<AnnotationId> AnnotationRegistry::Add(DomainId domain,
                                              const std::string& name,
                                              uint32_t entity_row) {
+  if (base_ != nullptr) {
+    return Status::FailedPrecondition(
+        "an overlay registry registers summary annotations only");
+  }
   if (domain >= domain_names_.size()) {
     return Status::InvalidArgument("domain id out of range");
   }
@@ -36,18 +44,19 @@ Result<AnnotationId> AnnotationRegistry::Add(DomainId domain,
 
 AnnotationId AnnotationRegistry::AddSummary(DomainId domain,
                                             const std::string& name) {
-  std::string unique = name;
-  int suffix = 2;
-  while (by_name_.count(unique) > 0) {
-    unique = name + "#" + std::to_string(suffix++);
-  }
-  AnnotationId id = static_cast<AnnotationId>(entries_.size());
-  entries_.push_back(Entry{unique, domain, kNoEntity, /*is_summary=*/true});
-  by_name_.emplace(unique, id);
+  AnnotationId id = static_cast<AnnotationId>(size());
+  entries_.push_back(Entry{name, domain, kNoEntity, /*is_summary=*/true});
+  by_name_.emplace(name, id);  // keeps the first id registered under `name`
   return id;
 }
 
 Result<AnnotationId> AnnotationRegistry::Find(const std::string& name) const {
+  if (base_ != nullptr) {
+    // Base ids past base_size_ were appended after this overlay was built;
+    // their values belong to the overlay's tail here.
+    Result<AnnotationId> in_base = base_->Find(name);
+    if (in_base.ok() && in_base.value() < base_size_) return in_base;
+  }
   auto it = by_name_.find(name);
   if (it == by_name_.end()) {
     return Status::NotFound("unknown annotation: " + name);
@@ -58,8 +67,8 @@ Result<AnnotationId> AnnotationRegistry::Find(const std::string& name) const {
 std::vector<AnnotationId> AnnotationRegistry::AnnotationsInDomain(
     DomainId domain) const {
   std::vector<AnnotationId> out;
-  for (AnnotationId a = 0; a < entries_.size(); ++a) {
-    if (entries_[a].domain == domain) out.push_back(a);
+  for (AnnotationId a = 0; a < size(); ++a) {
+    if (this->domain(a) == domain) out.push_back(a);
   }
   return out;
 }

@@ -40,17 +40,41 @@ inline constexpr uint32_t kNoEntity = std::numeric_limits<uint32_t>::max();
 /// flagged via is_summary(), so a summarized expression can be evaluated and
 /// re-summarized uniformly.
 ///
+/// **Overlays.** `AnnotationRegistry(&base)` builds a run-local overlay: ids
+/// below `base.size()` (taken at construction) resolve to the base, and
+/// AddSummary appends to the overlay's own tail. One summarization run
+/// registers its scratch and summary annotations in its own overlay
+/// (service/summarization_service.h), so runs never write the dataset's
+/// registry, two runs of the same request mint the same ids and names, and
+/// the overlay is dropped with the outcome that owns it. The base must
+/// outlive the overlay, and an overlay registers summaries only (Add and
+/// AddDomain are for root registries). Ids the base gains later (ingest
+/// appends originals) are invisible through an existing overlay — its tail
+/// owns those id values.
+///
+/// Summary names are stored verbatim: two summaries may share a name (a
+/// group absorbed into a larger group of the same attribute value keeps
+/// it), and Find returns the first annotation registered under a name.
+///
 /// **Thread-safety contract.** The registry is *not* internally
 /// synchronized. Registration (AddDomain / Add / AddSummary) must happen on
-/// a single thread with no concurrent readers; every const accessor (name,
-/// domain, size, Find, AnnotationsInDomain, ...) is safe to call from any
-/// number of threads as long as no registration is in flight. The parallel
-/// candidate-scoring path in Summarizer::Run relies on this: it
-/// pre-registers one scratch summary annotation per domain *before* fanning
-/// pricing out over the exec pool, so workers only ever read.
+/// a single thread with no concurrent readers of the same registry; every
+/// const accessor (name, domain, size, Find, AnnotationsInDomain, ...) is
+/// safe to call from any number of threads as long as no registration is
+/// in flight. An overlay only reads its base, so any number of overlays
+/// over one base may register concurrently while the base itself stays
+/// unchanged (engine::Engine runs summaries and ingest one at a time,
+/// under its engine mutex: engine/engine.h). Inside one run, the parallel
+/// candidate-scoring path of Summarizer::Run pre-registers one scratch
+/// summary annotation per domain *before* fanning pricing out over the
+/// exec pool, so workers only ever read.
 class AnnotationRegistry {
  public:
   AnnotationRegistry() = default;
+
+  /// A run-local overlay over `base` (see class comment).
+  explicit AnnotationRegistry(const AnnotationRegistry* base)
+      : base_(base), base_size_(base->size()) {}
 
   /// Pre-sizes the id vectors and name indexes for a known registration
   /// count (snapshot load registers everything up front), avoiding
@@ -69,9 +93,11 @@ class AnnotationRegistry {
   Result<DomainId> FindDomain(const std::string& name) const;
 
   const std::string& domain_name(DomainId d) const {
-    return domain_names_[d];
+    return base_ != nullptr ? base_->domain_name(d) : domain_names_[d];
   }
-  size_t num_domains() const { return domain_names_.size(); }
+  size_t num_domains() const {
+    return base_ != nullptr ? base_->num_domains() : domain_names_.size();
+  }
 
   /// Registers an original annotation. Names must be unique registry-wide.
   /// \param entity_row optional row index in the domain's entity table,
@@ -79,21 +105,22 @@ class AnnotationRegistry {
   Result<AnnotationId> Add(DomainId domain, const std::string& name,
                            uint32_t entity_row = kNoEntity);
 
-  /// Registers a summary annotation (an element of Ann'). Summary names may
-  /// collide with nothing; if the requested name is taken a "#k" suffix is
-  /// appended to keep names unique for display.
+  /// Registers a summary annotation (an element of Ann') under `name`,
+  /// verbatim — names are never suffixed, so they depend only on the run
+  /// that mints them.
   AnnotationId AddSummary(DomainId domain, const std::string& name);
 
-  /// Looks an annotation up by its unique name.
+  /// Looks an annotation up by name: the first one registered under it.
   Result<AnnotationId> Find(const std::string& name) const;
 
-  const std::string& name(AnnotationId a) const { return entries_[a].name; }
-  DomainId domain(AnnotationId a) const { return entries_[a].domain; }
-  uint32_t entity_row(AnnotationId a) const { return entries_[a].entity_row; }
-  bool is_summary(AnnotationId a) const { return entries_[a].is_summary; }
+  const std::string& name(AnnotationId a) const { return entry(a).name; }
+  DomainId domain(AnnotationId a) const { return entry(a).domain; }
+  uint32_t entity_row(AnnotationId a) const { return entry(a).entity_row; }
+  bool is_summary(AnnotationId a) const { return entry(a).is_summary; }
 
-  /// Total number of registered annotations (originals + summaries).
-  size_t size() const { return entries_.size(); }
+  /// Total number of registered annotations (originals + summaries; for an
+  /// overlay, the base ids it sees plus its own).
+  size_t size() const { return base_size_ + entries_.size(); }
 
   /// All annotation ids belonging to `domain`, in registration order.
   std::vector<AnnotationId> AnnotationsInDomain(DomainId domain) const;
@@ -105,6 +132,15 @@ class AnnotationRegistry {
     uint32_t entity_row;
     bool is_summary;
   };
+
+  const Entry& entry(AnnotationId a) const {
+    return a < base_size_ ? base_->entry(a) : entries_[a - base_size_];
+  }
+
+  /// Overlay base (nullptr for a root registry) and the base size the
+  /// overlay was built at; this registry's ids start there.
+  const AnnotationRegistry* base_ = nullptr;
+  size_t base_size_ = 0;
 
   std::vector<Entry> entries_;
   std::vector<std::string> domain_names_;

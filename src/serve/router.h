@@ -45,7 +45,7 @@ namespace serve {
 /// (PROX_OBS=0) all of this is skipped — no context, no header, no log.
 ///
 /// Thread-safe: Handle may be called from any number of server workers
-/// (the Engine serializes domain work behind its own mutex).
+/// (the Engine synchronizes domain work itself: engine/engine.h).
 class Router {
  public:
   struct Options {

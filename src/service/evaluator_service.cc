@@ -6,13 +6,20 @@
 namespace prox {
 
 Result<Valuation> EvaluatorService::ResolveAssignment(
-    const Assignment& assignment) const {
-  const AnnotationRegistry& reg = *dataset_->registry;
+    const Assignment& assignment, const AnnotationRegistry& reg) const {
   std::vector<AnnotationId> cancelled;
 
   for (const std::string& name : assignment.false_annotations) {
     auto found = reg.Find(name);
-    if (!found.ok()) return found.status();
+    if (!found.ok()) {
+      // An original ingested after the summarizing run built its overlay:
+      // the summary does not mention it, so cancelling it changes nothing.
+      if (&reg != dataset_->registry.get() &&
+          dataset_->registry->Find(name).ok()) {
+        continue;
+      }
+      return found.status();
+    }
     cancelled.push_back(found.value());
   }
 
@@ -56,10 +63,12 @@ Result<EvaluationReport> EvaluatorService::Evaluate(
 Result<EvaluationReport> EvaluatorService::EvaluateImpl(
     const ProvenanceExpression& expr, const MappingState* state,
     const Assignment& assignment) const {
+  const AnnotationRegistry& registry =
+      state != nullptr ? state->registry() : *dataset_->registry;
   Valuation base;
-  PROX_ASSIGN_OR_RETURN(base, ResolveAssignment(assignment));
+  PROX_ASSIGN_OR_RETURN(base, ResolveAssignment(assignment, registry));
 
-  const size_t n = dataset_->registry->size();
+  const size_t n = registry.size();
   MaterializedValuation mat =
       state != nullptr ? state->Transform(base, n)
                        : MaterializedValuation(base, n);
@@ -74,7 +83,7 @@ Result<EvaluationReport> EvaluatorService::EvaluateImpl(
     for (const auto& coord : result.coords()) {
       std::string label = coord.group == kNoAnnotation
                               ? "*"
-                              : dataset_->registry->name(coord.group);
+                              : registry.name(coord.group);
       report.rows.emplace_back(std::move(label), coord.value);
     }
   } else if (result.kind() == EvalResult::Kind::kScalar) {

@@ -38,13 +38,20 @@ class EvaluatorService {
   explicit EvaluatorService(const Dataset* dataset) : dataset_(dataset) {}
 
   /// Builds the base valuation an Assignment denotes (over original
-  /// annotations).
-  Result<Valuation> ResolveAssignment(const Assignment& assignment) const;
+  /// annotations), resolving names in `registry`: the dataset's, or the
+  /// overlay of the run whose summary is evaluated. Through an overlay, a
+  /// name only the dataset knows (an original ingested after that run) is
+  /// skipped: the summary does not mention it.
+  Result<Valuation> ResolveAssignment(const Assignment& assignment,
+                                      const AnnotationRegistry& registry) const;
 
   /// Evaluates `expr` under `assignment`. When `state` is given (the
   /// expression is a summary), the valuation is first transformed into
   /// v^{h,φ} so summary annotations receive their combined truth values —
-  /// approximate provisioning on the summary. Instrumented: counted in
+  /// approximate provisioning on the summary — and names resolve in the
+  /// state's registry (the summarizing run's overlay, annotation.h).
+  /// Reads only; concurrent calls are safe while the dataset does not
+  /// change. Instrumented: counted in
   /// `prox_service_requests_total` / `prox_service_errors_total`
   /// (service="evaluate"), timed by the "service.evaluate" trace span and
   /// the `prox_service_evaluate_duration_nanos` histogram; the inner

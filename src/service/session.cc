@@ -17,55 +17,48 @@ ProxSession::ProxSession(Dataset dataset)
       ingest_log_(&dataset_) {}
 
 Result<int64_t> ProxSession::Select(const SelectionCriteria& criteria) {
-  std::lock_guard<std::mutex> lock(mu_);
   PROX_ASSIGN_OR_RETURN(selection_, selection_service_.Select(criteria));
   outcome_.reset();
   return selection_->Size();
 }
 
 int64_t ProxSession::SelectAll() {
-  std::lock_guard<std::mutex> lock(mu_);
   selection_ = dataset_.provenance->Clone();
   outcome_.reset();
   return selection_->Size();
 }
 
-Result<int64_t> ProxSession::Summarize(const SummarizationRequest& request) {
-  std::lock_guard<std::mutex> lock(mu_);
+Result<std::shared_ptr<const SummaryOutcome>> ProxSession::Summarize(
+    const SummarizationRequest& request) {
   if (selection_ == nullptr) {
     return Status::FailedPrecondition("no provenance selected yet");
   }
   PROX_ASSIGN_OR_RETURN(
-      outcome_, summarization_service_.Summarize(*selection_, request));
-  return outcome_->final_size;
+      SummaryOutcome outcome,
+      summarization_service_.Summarize(*selection_, request));
+  outcome_ = std::make_shared<const SummaryOutcome>(std::move(outcome));
+  return outcome_;
 }
 
-Result<int64_t> ProxSession::Resummarize(const SummarizationRequest& request) {
-  std::lock_guard<std::mutex> lock(mu_);
+Result<std::shared_ptr<const SummaryOutcome>> ProxSession::Resummarize(
+    const SummarizationRequest& request) {
   if (selection_ == nullptr) {
     return Status::FailedPrecondition("no provenance selected yet");
   }
-  if (!outcome_.has_value()) {
+  if (outcome_ == nullptr) {
     return Status::FailedPrecondition(
         "no previous summary to warm-start from");
   }
-  // Keep the previous outcome alive while its summaries() seed the run,
-  // and restore it if the warm run fails.
-  SummaryOutcome previous = std::move(*outcome_);
-  outcome_.reset();
-  Result<SummaryOutcome> result =
-      summarization_service_.Resummarize(*selection_, request, previous);
-  if (!result.ok()) {
-    outcome_ = std::move(previous);
-    return result.status();
-  }
-  outcome_ = std::move(result).value();
-  return outcome_->final_size;
+  // On failure the previous outcome stays the latest.
+  PROX_ASSIGN_OR_RETURN(
+      SummaryOutcome outcome,
+      summarization_service_.Resummarize(*selection_, request, *outcome_));
+  outcome_ = std::make_shared<const SummaryOutcome>(std::move(outcome));
+  return outcome_;
 }
 
 Result<ingest::ApplyReceipt> ProxSession::Ingest(
     const ingest::DeltaBatch& batch) {
-  std::lock_guard<std::mutex> lock(mu_);
   // Pin the pre-ingest fingerprint before the dataset grows, so chaining
   // always starts from the value cold requests were keyed under.
   if (fingerprint_memo_.empty()) {
@@ -84,7 +77,6 @@ Result<ingest::ApplyReceipt> ProxSession::Ingest(
 }
 
 std::string ProxSession::fingerprint() const {
-  std::lock_guard<std::mutex> lock(mu_);
   if (fingerprint_memo_.empty()) {
     fingerprint_memo_ = ComputeDatasetFingerprint(dataset_);
   }
@@ -92,20 +84,17 @@ std::string ProxSession::fingerprint() const {
 }
 
 uint64_t ProxSession::next_ingest_sequence() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return ingest_log_.next_sequence();
 }
 
 int64_t ProxSession::provenance_size() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return dataset_.provenance->Size();
 }
 
 std::vector<std::string> ProxSession::DescribeGroups() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> out;
-  if (!outcome_.has_value()) return out;
-  const AnnotationRegistry& reg = *dataset_.registry;
+  if (outcome_ == nullptr) return out;
+  const AnnotationRegistry& reg = outcome_->registry();
   for (const auto& [summary, members] : outcome_->state.summaries()) {
     if (reg.name(summary).rfind("~scratch", 0) == 0) continue;
     std::string line = reg.name(summary) + " (size " +
@@ -120,17 +109,15 @@ std::vector<std::string> ProxSession::DescribeGroups() const {
 }
 
 Result<std::string> ProxSession::SummaryExpression() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!outcome_.has_value()) {
+  if (outcome_ == nullptr) {
     return Status::FailedPrecondition("no summary computed yet");
   }
-  return outcome_->summary->ToString(*dataset_.registry);
+  return outcome_->summary->ToString(outcome_->registry());
 }
 
 Result<EvaluationReport> ProxSession::EvaluateOnSummary(
-    const Assignment& assignment) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!outcome_.has_value()) {
+    const Assignment& assignment) const {
+  if (outcome_ == nullptr) {
     return Status::FailedPrecondition("no summary computed yet");
   }
   return evaluator_service_.Evaluate(*outcome_->summary, &outcome_->state,
@@ -138,8 +125,7 @@ Result<EvaluationReport> ProxSession::EvaluateOnSummary(
 }
 
 Result<EvaluationReport> ProxSession::EvaluateOnSelection(
-    const Assignment& assignment) {
-  std::lock_guard<std::mutex> lock(mu_);
+    const Assignment& assignment) const {
   if (selection_ == nullptr) {
     return Status::FailedPrecondition("no provenance selected yet");
   }

@@ -2,8 +2,6 @@
 #define PROX_SERVICE_SESSION_H_
 
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,48 +18,59 @@ namespace prox {
 /// workflow of the web UI (Chapter 7) — select provenance, summarize it,
 /// then inspect the summary's groups and evaluate assignments on it.
 ///
-/// Thread-safety contract: every member function serializes behind an
-/// internal mutex, so concurrent callers (e.g. prox::serve workers
-/// sharing one session) cannot interleave mutations — Summarize writes
-/// summary annotations into the dataset's AnnotationRegistry, whose
-/// registration side is not synchronized (annotation.h), and Select
-/// swaps the expression Summarize reads. The selection and the summary
-/// outcome live inside that guarded state, so they are never handed out
-/// as raw pointers: read them through `Lock()`, whose LockedView holds
-/// the session mutex for exactly as long as the view is alive, or take
-/// value snapshots (DescribeGroups, SummaryExpression, the engine
-/// facade's accessors). `dataset()` is safe only while the caller can
-/// rule out concurrent Select/Summarize calls (single-threaded use, an
-/// external lock, or a live LockedView).
+/// **Thread-safety contract.** Not internally synchronized: one member
+/// call at a time. A concurrent caller serializes its calls itself —
+/// engine::Engine runs every call on its session under its engine mutex
+/// (engine/engine.h) — and a single-threaded caller needs nothing.
+/// Summarization runs are request-pure (service/summarization_service.h):
+/// each registers its annotations in its own overlay registry and only
+/// reads the dataset.
+///
+/// The selection and the latest summary outcome are handed out as
+/// `shared_ptr<const ...>`: a caller that keeps the copy keeps a
+/// consistent view of it, whatever this session computes after.
 class ProxSession {
  public:
   /// Takes ownership of the dataset.
   explicit ProxSession(Dataset dataset);
 
   /// Selection view: restricts the provenance and stores it as the
-  /// summarization input. Returns the selected expression's size.
+  /// summarization input; drops the latest outcome. Returns the
+  /// selected expression's size.
   Result<int64_t> Select(const SelectionCriteria& criteria);
 
   /// Skips selection: uses the whole dataset provenance.
   int64_t SelectAll();
 
-  /// Summarization view: runs Algorithm 1 on the current selection.
-  Result<int64_t> Summarize(const SummarizationRequest& request);
-
-  /// Re-runs summarization warm-started from the previous outcome's
-  /// mapping state (docs/INGEST.md): the recorded merges are replayed
-  /// instead of re-searched and the greedy loop continues from there.
-  /// Requires a selection and a previous Summarize/Resummarize outcome;
-  /// on failure the previous outcome is kept.
-  Result<int64_t> Resummarize(const SummarizationRequest& request);
-
   /// Streaming ingest: validates and applies one delta batch to the
   /// dataset (monotone growth only), refreshes the selection to the grown
   /// provenance (a filtered selection is reset to select-all; callers
   /// re-Select if they need a narrower view), and chains the memoized
-  /// dataset fingerprint with the batch digest. The previous summary
+  /// dataset fingerprint with the batch digest. The published summary
   /// outcome is kept — it seeds the next warm Resummarize.
   Result<ingest::ApplyReceipt> Ingest(const ingest::DeltaBatch& batch);
+
+  /// Summarization view: runs Algorithm 1 on the current selection,
+  /// keeps the outcome as the latest and returns it.
+  Result<std::shared_ptr<const SummaryOutcome>> Summarize(
+      const SummarizationRequest& request);
+
+  /// Re-runs summarization warm-started from the latest outcome's
+  /// mapping state (docs/INGEST.md): the recorded merges are replayed
+  /// instead of re-searched and the greedy loop continues from there.
+  /// Requires a selection and a latest outcome; on failure that outcome
+  /// is kept.
+  Result<std::shared_ptr<const SummaryOutcome>> Resummarize(
+      const SummarizationRequest& request);
+
+  /// The latest summary outcome; nullptr before the first one (and after
+  /// a Select).
+  std::shared_ptr<const SummaryOutcome> outcome() const { return outcome_; }
+
+  /// The current selection; nullptr before the first Select/SelectAll.
+  std::shared_ptr<const ProvenanceExpression> selection() const {
+    return selection_;
+  }
 
   /// The dataset's content fingerprint (service/fingerprint.h), memoized:
   /// the slow FNV re-hash runs at most once per session, and after that
@@ -72,7 +81,7 @@ class ProxSession {
   /// Sequence number the next ingested batch must carry.
   uint64_t next_ingest_sequence() const;
 
-  /// Current dataset provenance Size() (thread-safe snapshot).
+  /// Current dataset provenance Size().
   int64_t provenance_size() const;
 
   /// Summary view, groups subview: one line per summary annotation with
@@ -83,64 +92,25 @@ class ProxSession {
   Result<std::string> SummaryExpression() const;
 
   /// Evaluates an assignment on the summary (approximate provisioning).
-  Result<EvaluationReport> EvaluateOnSummary(const Assignment& assignment);
+  Result<EvaluationReport> EvaluateOnSummary(
+      const Assignment& assignment) const;
 
   /// Evaluates the same assignment on the *original* selection, for
   /// comparing accuracy and usage time (Figures 7.9 / 7.10 show both).
-  Result<EvaluationReport> EvaluateOnSelection(const Assignment& assignment);
+  Result<EvaluationReport> EvaluateOnSelection(
+      const Assignment& assignment) const;
 
-  /// Guard-scoped read access to the mutex-guarded state. The view holds
-  /// the session mutex from construction to destruction, so the pointers
-  /// it exposes are valid exactly as long as the view is alive — and no
-  /// Select/Summarize/Ingest can run concurrently. Do NOT call any
-  /// ProxSession member function while a view on the same session is
-  /// alive (the mutex is not recursive; it would self-deadlock).
-  class LockedView {
-   public:
-    LockedView(LockedView&&) = default;
-    LockedView(const LockedView&) = delete;
-    LockedView& operator=(const LockedView&) = delete;
-
-    const Dataset& dataset() const { return session_->dataset_; }
-    /// nullptr when no selection has been made yet.
-    const ProvenanceExpression* selection() const {
-      return session_->selection_.get();
-    }
-    /// nullptr when no summary has been computed yet.
-    const SummaryOutcome* outcome() const {
-      return session_->outcome_.has_value() ? &*session_->outcome_ : nullptr;
-    }
-
-   private:
-    friend class ProxSession;
-    explicit LockedView(const ProxSession* session)
-        : session_(session), lock_(session->mu_) {}
-
-    const ProxSession* session_;
-    std::unique_lock<std::mutex> lock_;
-  };
-
-  /// Locks the session and returns a view over its selection/outcome/
-  /// dataset (see LockedView).
-  LockedView Lock() const { return LockedView(this); }
-
-  /// Unsynchronized dataset access — safe only while the caller can rule
-  /// out concurrent mutations (single-threaded use, an external lock, or
-  /// a live LockedView). Prefer Lock().dataset() in concurrent contexts.
   const Dataset& dataset() const { return dataset_; }
 
  private:
-  /// Serializes Select/Summarize/Evaluate and the describe methods (see
-  /// class comment).
-  mutable std::mutex mu_;
-
   Dataset dataset_;
   SelectionService selection_service_;
   SummarizationService summarization_service_;
   EvaluatorService evaluator_service_;
   ingest::IngestLog ingest_log_;
-  std::unique_ptr<ProvenanceExpression> selection_;
-  std::optional<SummaryOutcome> outcome_;
+
+  std::shared_ptr<const ProvenanceExpression> selection_;
+  std::shared_ptr<const SummaryOutcome> outcome_;
   /// Memoized dataset fingerprint ("" = not computed yet). Advanced by
   /// Ingest via digest chaining; never recomputed once set.
   mutable std::string fingerprint_memo_;

@@ -114,10 +114,15 @@ Result<SummaryOutcome> SummarizationService::SummarizeImpl(
     return Status::FailedPrecondition("dataset provides no VAL-FUNC");
   }
 
+  // The run's own registry: every scratch and summary annotation lands
+  // here, never in the dataset's (annotation.h, "Overlays").
+  auto overlay =
+      std::make_shared<AnnotationRegistry>(dataset_->registry.get());
+
   std::vector<Valuation> valuations =
       valuation_class->Generate(selected, dataset_->ctx);
-  EnumeratedDistance oracle(&selected, dataset_->registry.get(), val_func,
-                            valuations, request.threads);
+  EnumeratedDistance oracle(&selected, overlay.get(), val_func, valuations,
+                            request.threads);
 
   SummarizerOptions options;
   options.w_dist = request.w_dist;
@@ -127,8 +132,19 @@ Result<SummaryOutcome> SummarizationService::SummarizeImpl(
   options.max_steps = request.max_steps;
   options.phi = dataset_->phi;
   options.threads = request.threads;
+  std::vector<std::pair<AnnotationId, std::vector<AnnotationId>>> seed;
   if (warm_from != nullptr) {
-    options.warm_seed = &warm_from->state.summaries();
+    // The previous summaries live in the previous run's overlay. Register
+    // them again, in recorded order, and remap the seed to the new ids;
+    // their members are originals, which keep their ids across ingest.
+    const AnnotationRegistry& previous = warm_from->registry();
+    seed.reserve(warm_from->state.summaries().size());
+    for (const auto& [summary, members] : warm_from->state.summaries()) {
+      seed.emplace_back(overlay->AddSummary(previous.domain(summary),
+                                            previous.name(summary)),
+                        members);
+    }
+    options.warm_seed = &seed;
     // The incremental scorer is bit-identical where supported; the warm
     // path opts in whenever the resolved VAL-FUNC is one of the
     // coordinate-decomposable metrics it implements.
@@ -140,9 +156,11 @@ Result<SummaryOutcome> SummarizationService::SummarizeImpl(
     }
   }
 
-  Summarizer summarizer(&selected, dataset_->registry.get(), &dataset_->ctx,
+  Summarizer summarizer(&selected, overlay.get(), &dataset_->ctx,
                         &dataset_->constraints, &oracle, &valuations, options);
-  return summarizer.Run();
+  PROX_ASSIGN_OR_RETURN(SummaryOutcome outcome, summarizer.Run());
+  outcome.overlay = std::move(overlay);
+  return outcome;
 }
 
 }  // namespace prox

@@ -50,10 +50,18 @@ struct SummarizationRequest {
 /// \brief The PROX summarization service: wires the dataset's semantics
 /// (constraints, φ, valuation class, VAL-FUNC) and the request parameters
 /// into Algorithm 1 and runs it on the selected provenance.
+///
+/// Runs are request-pure: each one registers its scratch and summary
+/// annotations in a fresh overlay of the dataset's registry
+/// (provenance/annotation.h), owned by the outcome it returns. The dataset
+/// is only read, so any number of runs may proceed concurrently while it
+/// does not change, and the same request gives the same outcome — ids,
+/// names and bytes — whatever ran before it.
 class SummarizationService {
  public:
-  /// `dataset` is mutated (its registry accumulates summary annotations).
-  explicit SummarizationService(Dataset* dataset) : dataset_(dataset) {}
+  /// `dataset` must outlive the service and every outcome it returns (an
+  /// outcome's overlay reads the dataset's registry).
+  explicit SummarizationService(const Dataset* dataset) : dataset_(dataset) {}
 
   /// Summarizes `selected` (any expression over the dataset's annotations).
   /// Instrumented: counted in `prox_service_requests_total` /
@@ -67,8 +75,11 @@ class SummarizationService {
   /// the previous outcome's merges are replayed into the new run's
   /// mapping state instead of re-searched, and incremental candidate
   /// scoring is enabled when the resolved VAL-FUNC supports it.
-  /// `previous` must be an outcome computed against this dataset and must
-  /// outlive the call.
+  /// `previous` must be an outcome computed against this dataset (possibly
+  /// before later ingests) and must outlive the call. Its summaries are
+  /// re-registered in the new run's overlay in recorded order, and the
+  /// seed is remapped to those ids: ingest appends base ids past the old
+  /// overlay's, so the old summary ids may now name originals.
   Result<SummaryOutcome> Resummarize(const ProvenanceExpression& selected,
                                      const SummarizationRequest& request,
                                      const SummaryOutcome& previous) const;
@@ -79,7 +90,7 @@ class SummarizationService {
       const SummarizationRequest& request,
       const SummaryOutcome* warm_from) const;
 
-  Dataset* dataset_;
+  const Dataset* dataset_;
 };
 
 }  // namespace prox

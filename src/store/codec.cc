@@ -110,9 +110,10 @@ Status EncodeRegistry(const AnnotationRegistry& registry, std::string* out) {
   for (size_t d = 0; d < registry.num_domains(); ++d) {
     w.PutString(registry.domain_name(static_cast<DomainId>(d)));
   }
-  // Summary annotations (minted by past summarize runs on this process)
-  // are not part of the dataset: a snapshot boots clean, like a
-  // generator, so summary names never collide into "#k" suffixes.
+  // Summary annotations are not part of the dataset: served runs keep
+  // theirs in run-local overlays, and any a caller registered directly
+  // (baselines, tests) are dropped, so a snapshot boots clean, like a
+  // generator.
   uint64_t originals = 0;
   for (size_t a = 0; a < registry.size(); ++a) {
     if (!registry.is_summary(static_cast<AnnotationId>(a))) ++originals;

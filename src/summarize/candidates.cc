@@ -67,10 +67,11 @@ std::vector<Candidate> CandidateGenerator::Generate(
   current.CollectAnnotations(&anns);
 
   // Bucket current annotations by domain; only domains with a rule can
-  // yield candidates.
+  // yield candidates. Summary roots resolve in the state's registry (a
+  // run's overlay), not the dataset's.
   std::map<DomainId, std::vector<AnnotationId>> by_domain;
   for (AnnotationId a : anns) {
-    DomainId d = ctx_->registry->domain(a);
+    DomainId d = state.registry().domain(a);
     if (constraints_->HasRule(d)) by_domain[d].push_back(a);
   }
 

@@ -96,6 +96,10 @@ class MappingState {
 
   PhiKind PhiFor(DomainId domain) const { return phi_.For(domain); }
 
+  /// The registry the state's annotation ids resolve in — a run's overlay
+  /// when the run had one (annotation.h).
+  const AnnotationRegistry& registry() const { return *registry_; }
+
   /// Summary annotations created so far, in creation order, with members.
   const std::vector<std::pair<AnnotationId, std::vector<AnnotationId>>>&
   summaries() const {

@@ -9,7 +9,7 @@ namespace prox {
 
 std::vector<GroupReport> SummaryReporter::Groups(
     const SummaryOutcome& outcome) const {
-  const AnnotationRegistry& registry = *ctx_->registry;
+  const AnnotationRegistry& registry = outcome.registry();
 
   // Annotations actually present in the final expression.
   std::vector<AnnotationId> present;
@@ -99,7 +99,7 @@ Result<std::unique_ptr<ProvenanceExpression>> ExpressionAtStep(
 
 std::vector<std::string> SummaryReporter::Trace(
     const SummaryOutcome& outcome) const {
-  const AnnotationRegistry& registry = *ctx_->registry;
+  const AnnotationRegistry& registry = outcome.registry();
   std::vector<std::string> out;
   if (outcome.equivalence_merges > 0) {
     out.push_back("grouped " + std::to_string(outcome.equivalence_merges) +

@@ -28,7 +28,9 @@ struct GroupReport {
   bool has_aggregate = false;
 };
 
-/// \brief Builds the groups view of a summary outcome.
+/// \brief Builds the groups view of a summary outcome. Names resolve
+/// through the outcome's registry (SummaryOutcome::registry), attributes
+/// through the context's entity tables.
 class SummaryReporter {
  public:
   SummaryReporter(const SemanticContext* ctx) : ctx_(ctx) {}

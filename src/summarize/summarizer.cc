@@ -237,7 +237,7 @@ Result<SummaryOutcome> Summarizer::Run() {
   metrics.runs->Increment();
   obs::TraceSpan run_span("summarize.run");
   SummaryOutcome outcome{nullptr, MappingState(registry_, options_.phi), {},
-                         0.0, 0, false, 0, 0.0, 0, 0, 0};
+                         0.0, 0, false, 0, 0.0, 0, 0, 0, nullptr};
   // Adopt the input into the flat interned representation for the hot
   // loop (docs/IR.md). The pool lives as long as the run's expressions via
   // the shared_ptr each IR expression holds.

@@ -152,6 +152,16 @@ struct SummaryOutcome {
   /// Merges replayed from SummarizerOptions::warm_seed before the greedy
   /// loop (0 on cold runs). Not part of the serialized summary JSON.
   int warm_replayed_merges = 0;
+  /// The run-local overlay registry the run registered its annotations in
+  /// (annotation.h), owned here so the outcome's ids stay resolvable for
+  /// as long as it lives. Set by SummarizationService; null when a
+  /// Summarizer ran directly against a caller's registry.
+  std::shared_ptr<const AnnotationRegistry> overlay;
+
+  /// The registry the outcome's annotation ids resolve in: the overlay
+  /// when the run had one, the Summarizer's registry otherwise. Every
+  /// renderer reads names through this, never through the dataset's.
+  const AnnotationRegistry& registry() const { return state.registry(); }
 };
 
 /// \brief Algorithm 1, "Provenance Summarization Algorithm": greedy search
@@ -167,7 +177,8 @@ class Summarizer {
  public:
   /// All pointers must outlive the Summarizer. `registry` is mutated: the
   /// run registers summary annotations (plus per-step scratch annotations
-  /// used to score candidates).
+  /// used to score candidates). Served runs pass a run-local overlay
+  /// (annotation.h), so the dataset's registry is never written.
   Summarizer(const ProvenanceExpression* p0, AnnotationRegistry* registry,
              const SemanticContext* ctx, const ConstraintSet* constraints,
              DistanceOracle* oracle, const std::vector<Valuation>* valuations,

@@ -158,9 +158,7 @@ TEST(WireTest, SummaryOutcomeSerializationIsDeterministic) {
     session.SelectAll();
     auto size = session.Summarize(request);
     ASSERT_TRUE(size.ok()) << size.status().ToString();
-    ProxSession::LockedView view = session.Lock();
-    *out = WriteJson(SummaryOutcomeToJson(*view.outcome(),
-                                          *view.dataset().registry));
+    *out = WriteJson(SummaryOutcomeToJson(*session.outcome()));
   }
   EXPECT_EQ(first, second);
 

@@ -8,12 +8,15 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/json.h"
 #include "datasets/movielens.h"
 #include "engine/codec.h"
+#include "ingest/delta.h"
+#include "ingest/synthetic.h"
 #include "kernels/metrics.h"
 
 namespace prox {
@@ -213,6 +216,125 @@ TEST(EngineTest, OptionsFromJsonParsesAndRejects) {
       "{\"dataset\":{\"snapshot\":\"/nonexistent/prox.snap\"}}");
   ASSERT_TRUE(missing.ok());
   EXPECT_FALSE(Engine::Create(missing.value()).ok());
+}
+
+/// True when `name` ends in a "#k" suffix (the registry-history marker
+/// summary names used to carry).
+bool HasHistorySuffix(const std::string& name) {
+  const size_t hash = name.rfind('#');
+  if (hash == std::string::npos || hash + 1 == name.size()) return false;
+  for (size_t i = hash + 1; i < name.size(); ++i) {
+    if (name[i] < '0' || name[i] > '9') return false;
+  }
+  return true;
+}
+
+/// Every summary and member name a summarize body carries.
+std::vector<std::string> NamesIn(const JsonValue& doc) {
+  std::vector<std::string> names;
+  for (const JsonValue& step : doc.Find("steps")->items()) {
+    names.push_back(step.Find("summary")->string_value());
+    for (const JsonValue& merged : step.Find("merged")->items()) {
+      names.push_back(merged.string_value());
+    }
+  }
+  for (const JsonValue& group : doc.Find("groups")->items()) {
+    names.push_back(group.Find("name")->string_value());
+    for (const JsonValue& member : group.Find("members")->items()) {
+      names.push_back(member.string_value());
+    }
+  }
+  return names;
+}
+
+TEST(EnginePurityTest, UncachedIdenticalSummariesAreByteIdentical) {
+  // With the cache off every request runs Algorithm 1. Runs register in
+  // their own overlay registries, so the fifth run on one engine returns
+  // the first run's bytes.
+  for (const char* family : {"movielens", "wikipedia", "ddp"}) {
+    SCOPED_TRACE(family);
+    Result<Engine::Options> options = Engine::OptionsFromJson(
+        std::string("{\"dataset\":{\"family\":\"") + family +
+        "\"},\"cache_mb\":0}");
+    ASSERT_TRUE(options.ok()) << options.status().ToString();
+    Result<std::unique_ptr<Engine>> engine = Engine::Create(options.value());
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    Engine::Response first = engine.value()->HandleSummarize(kSummarizeBody);
+    ASSERT_TRUE(first.ok()) << first.body;
+    for (int i = 1; i < 5; ++i) {
+      Engine::Response again = engine.value()->HandleSummarize(kSummarizeBody);
+      ASSERT_TRUE(again.ok()) << again.body;
+      EXPECT_EQ(again.cache, Engine::Response::CacheOutcome::kMiss);
+      EXPECT_EQ(again.body, first.body) << "run " << i;
+    }
+  }
+}
+
+TEST(EnginePurityTest, DistinctMissesLeaveTheBaseRegistryAlone) {
+  Dataset dataset = SmallDataset();
+  // The registry lives on the heap and moves into the engine with the
+  // dataset; the test reads it only while the engine is idle.
+  const AnnotationRegistry* base = dataset.registry.get();
+  const size_t base_size = base->size();
+  std::unique_ptr<Engine> engine = Engine::FromDataset(std::move(dataset));
+
+  for (int k = 1; k <= 50; ++k) {
+    const std::string body = "{\"max_steps\":" + std::to_string(k % 9 + 1) +
+                             ",\"target_size\":" + std::to_string(k) + "}";
+    Engine::Response miss = engine->HandleSummarize(body);
+    ASSERT_TRUE(miss.ok()) << miss.body;
+    ASSERT_EQ(miss.cache, Engine::Response::CacheOutcome::kMiss) << body;
+    for (const std::string& name : NamesIn(MustParse(miss.body))) {
+      EXPECT_FALSE(HasHistorySuffix(name)) << name << " in " << body;
+    }
+  }
+  EXPECT_EQ(base->size(), base_size);
+  EXPECT_FALSE(HasHistorySuffix("Gender:F"));
+  EXPECT_TRUE(HasHistorySuffix("Gender:F#3"));
+}
+
+TEST(EngineTest, EvaluateOnSummarySkipsOriginalsIngestedAfterTheRun) {
+  Dataset twin = SmallDataset();
+  Result<ingest::DeltaBatch> batch =
+      ingest::SyntheticMovieLensDelta(twin, 1, 2, 1);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  std::string new_user;
+  for (const ingest::DeltaOp& op : batch.value().ops) {
+    if (op.kind == ingest::DeltaOpKind::kAddAnnotation) new_user = op.name;
+  }
+  ASSERT_FALSE(new_user.empty());
+
+  std::unique_ptr<Engine> engine = Engine::FromDataset(SmallDataset());
+  ASSERT_TRUE(engine->HandleSummarize(kSummarizeBody).ok());
+  const std::string before = engine->HandleEvaluate(
+      "{\"on\":\"summary\",\"assignment\":{\"false_annotations\":[]}}").body;
+  // An ingest with no re-summary keeps the summary, whose overlay was
+  // built before the new user existed.
+  Engine::Response ingest =
+      engine->HandleIngest(WriteJson(ingest::DeltaBatchToJson(batch.value())));
+  ASSERT_TRUE(ingest.ok()) << ingest.body;
+
+  // The summary does not mention the new user, so cancelling it changes
+  // nothing; a name no registry knows still fails.
+  Engine::Response named = engine->HandleEvaluate(
+      "{\"on\":\"summary\",\"assignment\":{\"false_annotations\":[\"" +
+      new_user + "\"]}}");
+  ASSERT_TRUE(named.ok()) << named.body;
+  JsonValue named_doc = MustParse(named.body);
+  JsonValue before_doc = MustParse(before);
+  EXPECT_EQ(WriteJson(*named_doc.Find("rows")),
+            WriteJson(*before_doc.Find("rows")));
+  Engine::Response unknown = engine->HandleEvaluate(
+      "{\"on\":\"summary\",\"assignment\":{\"false_annotations\":"
+      "[\"no-such-user\"]}}");
+  EXPECT_EQ(unknown.status.code(), StatusCode::kNotFound) << unknown.body;
+
+  // On the selection (the grown provenance) the new user resolves.
+  EXPECT_TRUE(engine
+                  ->HandleEvaluate("{\"on\":\"selection\",\"assignment\":{"
+                                   "\"false_annotations\":[\"" +
+                                   new_user + "\"]}}")
+                  .ok());
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -47,11 +48,12 @@ TEST(ThreadPoolTest, SubmitRunsTasks) {
   std::condition_variable cv;
   constexpr int kTasks = 64;
   for (int i = 0; i < kTasks; ++i) {
+    // Count under the mutex: were the last increment made outside it, the
+    // waiter could see kTasks, return and destroy `mu`/`cv` before this
+    // task locked them to notify.
     pool.Submit([&] {
-      if (counter.fetch_add(1) + 1 == kTasks) {
-        std::lock_guard<std::mutex> lock(mu);
-        cv.notify_all();
-      }
+      std::lock_guard<std::mutex> lock(mu);
+      if (counter.fetch_add(1) + 1 == kTasks) cv.notify_all();
     });
   }
   std::unique_lock<std::mutex> lock(mu);
@@ -134,6 +136,37 @@ TEST(ParallelForTest, NestedCallFromWorkerRunsInlineWithoutDeadlock) {
   });
   EXPECT_EQ(total.load(), 8 * 4950);
   EXPECT_FALSE(InParallelWorker());
+}
+
+TEST(ParallelForTest, ConcurrentCallersShareTheDefaultPool) {
+  // Requests with `threads: 0` resolve to the process-default pool, and
+  // the engine runs distinct cold keys side by side, so two outside
+  // threads fan out over that one pool at once. Each call must still
+  // cover its own range exactly once and return only after its last
+  // chunk finished.
+  ThreadPool& pool = ThreadPool::Default();
+  constexpr int64_t kN = 997;
+  constexpr int kRounds = 40;
+  std::vector<std::atomic<int>> first(kN);
+  std::vector<std::atomic<int>> second(kN);
+  auto caller = [&pool](std::vector<std::atomic<int>>* hits) {
+    for (int round = 0; round < kRounds; ++round) {
+      ParallelFor(&pool, 0, kN, 7,
+                  [hits](int64_t i) { (*hits)[i].fetch_add(1); });
+      // Every chunk of this call has finished: no index is behind.
+      for (int64_t i = 0; i < kN; ++i) {
+        ASSERT_EQ((*hits)[i].load(), round + 1) << "index " << i;
+      }
+    }
+  };
+  std::thread a(caller, &first);
+  std::thread b(caller, &second);
+  a.join();
+  b.join();
+  for (int64_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(first[i].load(), kRounds) << "index " << i;
+    EXPECT_EQ(second[i].load(), kRounds) << "index " << i;
+  }
 }
 
 TEST(DeterministicSumTest, MatchesAtEveryThreadCountBitwise) {

@@ -78,10 +78,9 @@ void CheckWarmColdParity(Dataset warm_ds, Dataset cold_ds,
   cold_session.SelectAll();
   ASSERT_TRUE(cold_session.Summarize(request).ok());
 
-  ProxSession::LockedView cold_view = cold_session.Lock();
-  EXPECT_NEAR(report.value().final_distance,
-              cold_view.outcome()->final_distance, 1e-9);
-  EXPECT_EQ(report.value().final_size, cold_view.outcome()->final_size);
+  std::shared_ptr<const SummaryOutcome> cold = cold_session.outcome();
+  EXPECT_NEAR(report.value().final_distance, cold->final_distance, 1e-9);
+  EXPECT_EQ(report.value().final_size, cold->final_size);
 }
 
 TEST(SummaryMaintainerTest, WarmMatchesFullRerunOnMovieLens) {

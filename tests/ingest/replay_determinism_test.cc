@@ -40,9 +40,7 @@ SummarizationRequest Request(int threads) {
 }
 
 std::string CanonicalSummaryJson(ProxSession& session) {
-  ProxSession::LockedView view = session.Lock();
-  return WriteJson(engine::SummaryOutcomeToJson(
-      *view.outcome(), *view.dataset().registry));
+  return WriteJson(engine::SummaryOutcomeToJson(*session.outcome()));
 }
 
 /// Fresh session, ingest every batch through the session, summarize once.

@@ -49,7 +49,7 @@ GoldenRun RunFamily(const Config& config, bool use_ir, int threads) {
 
   GoldenRun run;
   run.expression = outcome.summary->ToString(*ds.registry);
-  run.json = WriteJson(engine::SummaryOutcomeToJson(outcome, *ds.registry));
+  run.json = WriteJson(engine::SummaryOutcomeToJson(outcome));
   run.final_distance = outcome.final_distance;
   run.final_size = outcome.final_size;
   return run;
@@ -129,7 +129,7 @@ TEST(GoldenIdentityTest, MovieLensWithIncrementalScoring) {
     Summarizer summarizer(ds.provenance.get(), ds.registry.get(), &ds.ctx,
                           &ds.constraints, &oracle, &valuations, options);
     SummaryOutcome outcome = summarizer.Run().MoveValue();
-    return WriteJson(engine::SummaryOutcomeToJson(outcome, *ds.registry));
+    return WriteJson(engine::SummaryOutcomeToJson(outcome));
   };
   EXPECT_EQ(run(true), run(false));
 }

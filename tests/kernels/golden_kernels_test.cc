@@ -66,7 +66,7 @@ GoldenRun RunFamily(const Config& config, bool use_ir, int threads) {
 
   GoldenRun run;
   run.expression = outcome.summary->ToString(*ds.registry);
-  run.json = WriteJson(engine::SummaryOutcomeToJson(outcome, *ds.registry));
+  run.json = WriteJson(engine::SummaryOutcomeToJson(outcome));
   run.final_distance = outcome.final_distance;
   run.final_size = outcome.final_size;
   return run;

@@ -60,14 +60,55 @@ TEST(AnnotationRegistryTest, SummaryAnnotationsAreFlagged) {
   EXPECT_EQ(reg.entity_row(s), kNoEntity);
 }
 
-TEST(AnnotationRegistryTest, SummaryNameCollisionsGetSuffix) {
+TEST(AnnotationRegistryTest, SummaryNameCollisionsKeepTheName) {
+  // Summary names are stored verbatim (no "#k" suffix), so they depend
+  // only on the run that mints them; Find keeps the first registration.
   AnnotationRegistry reg;
   DomainId d = reg.AddDomain("user");
-  ASSERT_TRUE(reg.Add(d, "Female").ok());
+  AnnotationId original = reg.Add(d, "Female").MoveValue();
   AnnotationId s1 = reg.AddSummary(d, "Female");
   AnnotationId s2 = reg.AddSummary(d, "Female");
-  EXPECT_EQ(reg.name(s1), "Female#2");
-  EXPECT_EQ(reg.name(s2), "Female#3");
+  EXPECT_NE(s1, s2);
+  EXPECT_EQ(reg.name(s1), "Female");
+  EXPECT_EQ(reg.name(s2), "Female");
+  EXPECT_EQ(reg.Find("Female").value(), original);
+}
+
+TEST(AnnotationRegistryTest, OverlayResolvesBaseIdsAndOwnsItsTail) {
+  AnnotationRegistry base;
+  DomainId users = base.AddDomain("user");
+  AnnotationId u1 = base.Add(users, "U1", 4).MoveValue();
+  AnnotationId u2 = base.Add(users, "U2").MoveValue();
+
+  AnnotationRegistry overlay(&base);
+  EXPECT_EQ(overlay.size(), 2u);
+  AnnotationId s = overlay.AddSummary(users, "Group");
+  EXPECT_EQ(s, 2u);
+  EXPECT_EQ(overlay.size(), 3u);
+  EXPECT_EQ(base.size(), 2u);  // the base never sees overlay registrations
+  EXPECT_EQ(overlay.name(u1), "U1");
+  EXPECT_EQ(overlay.entity_row(u1), 4u);
+  EXPECT_FALSE(overlay.is_summary(u2));
+  EXPECT_TRUE(overlay.is_summary(s));
+  EXPECT_EQ(overlay.domain_name(overlay.domain(s)), "user");
+  EXPECT_EQ(overlay.Find("U2").value(), u2);
+  EXPECT_EQ(overlay.Find("Group").value(), s);
+  EXPECT_FALSE(base.Find("Group").ok());
+  EXPECT_EQ(overlay.AnnotationsInDomain(users),
+            (std::vector<AnnotationId>{u1, u2, s}));
+  EXPECT_EQ(overlay.Add(users, "U3").status().code(),
+            StatusCode::kFailedPrecondition);
+
+  // Two overlays over one base mint the same ids and names.
+  AnnotationRegistry other(&base);
+  EXPECT_EQ(other.AddSummary(users, "Group"), s);
+
+  // An original the base gains later is invisible through the overlay:
+  // its id value belongs to the overlay's tail there.
+  AnnotationId u3 = base.Add(users, "U3").MoveValue();
+  EXPECT_EQ(u3, s);
+  EXPECT_EQ(overlay.name(u3), "Group");
+  EXPECT_FALSE(overlay.Find("U3").ok());
 }
 
 TEST(AnnotationRegistryTest, AnnotationsInDomainFilters) {

@@ -14,6 +14,7 @@
 #include "common/json.h"
 #include "datasets/movielens.h"
 #include "engine/engine.h"
+#include "obs/metrics.h"
 #include "serve/client.h"
 #include "serve/router.h"
 #include "serve/serve_metrics.h"
@@ -121,6 +122,9 @@ TEST(ServerLoopbackTest, ColdAndCachedBodiesAreByteIdentical) {
 
 TEST(ServerLoopbackTest, EightConcurrentIdenticalPostsGetOneBody) {
   LoopbackServer fixture;
+  obs::Counter* runs = obs::MetricsRegistry::Default().GetCounter(
+      "prox_summarize_runs_total", "Summarization runs started.");
+  const uint64_t runs_before = runs->value();
   constexpr int kClients = 8;
   std::vector<std::string> bodies(kClients);
   std::vector<int> statuses(kClients, 0);
@@ -143,11 +147,12 @@ TEST(ServerLoopbackTest, EightConcurrentIdenticalPostsGetOneBody) {
     EXPECT_EQ(statuses[i], 200) << "client " << i;
     distinct.insert(bodies[i]);
   }
-  // The router single-flights identical cold requests: everyone gets the
-  // same bytes (reruns would mint "#k"-suffixed summary names, so one
-  // distinct body means Algorithm 1 ran exactly once) and every client
-  // but the computing one ends on a cache hit. Racing fast-path lookups
-  // may each record a miss, so only the lower bounds are deterministic.
+  // The engine single-flights identical cold keys: Algorithm 1 runs
+  // exactly once (runs are request-pure, so equal bodies alone would not
+  // prove it), everyone gets the same bytes, and every client but the
+  // computing one ends on a cache hit. Racing fast-path lookups may each
+  // record a miss, so only the lower bounds are deterministic.
+  EXPECT_EQ(runs->value(), runs_before + 1);
   EXPECT_EQ(distinct.size(), 1u);
   SummaryCache::Stats stats = fixture.cache().stats();
   EXPECT_EQ(stats.entries, 1u);

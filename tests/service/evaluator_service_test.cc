@@ -58,7 +58,7 @@ TEST(EvaluatorServiceTest, FalseAttributeCancelsAllCarriers) {
   EvaluatorService svc(&ds);
   Assignment assignment;
   assignment.false_attributes = {{"Gender", "M"}};
-  auto valuation = svc.ResolveAssignment(assignment);
+  auto valuation = svc.ResolveAssignment(assignment, *ds.registry);
   ASSERT_TRUE(valuation.ok());
   const EntityTable* users = ds.ctx.TableFor(ds.domain("user"));
   AttrId gender = users->FindAttribute("Gender").MoveValue();

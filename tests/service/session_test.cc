@@ -33,7 +33,7 @@ TEST(ProxSessionTest, FullWorkflowSelectSummarizeEvaluate) {
   request.max_steps = 5;
   auto summary_size = session.Summarize(request);
   ASSERT_TRUE(summary_size.ok());
-  EXPECT_LE(summary_size.value(), selected_size);
+  EXPECT_LE(summary_size.value()->final_size, selected_size);
 
   auto expr = session.SummaryExpression();
   ASSERT_TRUE(expr.ok());
@@ -92,10 +92,10 @@ TEST(ProxSessionTest, SummaryDistanceWithinBounds) {
   request.w_size = 0.0;
   request.max_steps = 8;
   ASSERT_TRUE(session.Summarize(request).ok());
-  ProxSession::LockedView view = session.Lock();
-  ASSERT_NE(view.outcome(), nullptr);
-  EXPECT_GE(view.outcome()->final_distance, 0.0);
-  EXPECT_LE(view.outcome()->final_distance, 1.0);
+  std::shared_ptr<const SummaryOutcome> outcome = session.outcome();
+  ASSERT_NE(outcome, nullptr);
+  EXPECT_GE(outcome->final_distance, 0.0);
+  EXPECT_LE(outcome->final_distance, 1.0);
 }
 
 }  // namespace

@@ -91,10 +91,18 @@ TEST(SummarizationServiceTest, SummaryAnnotationsVisibleInGroups) {
   SummarizationService svc(&ds);
   SummarizationRequest request;
   request.max_steps = 3;
+  const size_t base_size = ds.registry->size();
   auto outcome = svc.Summarize(*ds.provenance, request);
   ASSERT_TRUE(outcome.ok());
+  // Summary ids live in the run's own overlay registry; the dataset's
+  // registry never grows.
+  const AnnotationRegistry& registry = outcome.value().registry();
+  EXPECT_EQ(&registry, outcome.value().overlay.get());
+  EXPECT_EQ(ds.registry->size(), base_size);
+  ASSERT_FALSE(outcome.value().state.summaries().empty());
   for (const auto& [summary, members] : outcome.value().state.summaries()) {
-    EXPECT_TRUE(ds.registry->is_summary(summary));
+    EXPECT_GE(summary, base_size);
+    EXPECT_TRUE(registry.is_summary(summary));
     EXPECT_GE(members.size(), 2u);
   }
 }

@@ -64,7 +64,7 @@ std::string SummarizeJson(Dataset ds, int threads) {
   Summarizer summarizer(ds.provenance.get(), ds.registry.get(), &ds.ctx,
                         &ds.constraints, &oracle, &valuations, options);
   SummaryOutcome outcome = summarizer.Run().MoveValue();
-  return WriteJson(engine::SummaryOutcomeToJson(outcome, *ds.registry));
+  return WriteJson(engine::SummaryOutcomeToJson(outcome));
 }
 
 void ExpectStructurallyEqual(const Dataset& generated, const Dataset& loaded) {
